@@ -14,35 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .color import (
-    ColorMixing,
-    color_tikhonov,
-    color_truncated_sd,
-    color_truncated_svd,
-    cross_channel_blur,
-    identity_mixing,
-)
+from .color import cross_channel_blur, identity_mixing
 from .errors import ConfigError
-from .experiment import (
-    _color_mu_sweep,
-    _color_tsd_sweep,
-    _color_tsvd_sweep,
-    _parse_float,
-    load_config,
-    parse_psf_spec,
-    run_experiment,
-)
+from .experiment import load_config, parse_mix_spec, parse_psf_spec, run_experiment
 from .filtering import (
+    METHODS,
     Tikhonov,
     TruncateByCount,
     TruncateByThreshold,
-    mu_sweep,
-    rre_sweep,
+    restore,
     save_curve_csv,
-    svd_rre_sweep,
-    tikhonov_restore,
-    truncated_sd_restore,
-    truncated_svd_restore,
+    sweep,
 )
 from .imageio import read_image, read_matrix, write_image, write_matrix
 from .metrics import NoiseSpec, add_noise
@@ -66,23 +48,9 @@ def _save_image(path, image, maxval):
     if suffix in _IMAGE_SUFFIXES:
         write_image(path, image, maxval)
     elif suffix == ".txt":
-        if image.ndim != 2:
-            raise ConfigError("text output holds a single 2-D matrix")
         write_matrix(path, image)
     else:
         raise ConfigError(f"unsupported output file type {suffix!r} for {path}")
-
-
-def _parse_mix(text):
-    if text is None:
-        return None
-    entries = [_parse_float(tok.strip(), "mix entry") for tok in text.split(",")]
-    if len(entries) != 9:
-        raise ConfigError("mix must hold 9 comma separated row-major entries")
-    try:
-        return ColorMixing(np.array(entries).reshape(3, 3))
-    except ValueError as exc:
-        raise ConfigError(f"invalid mixing matrix: {exc}") from exc
 
 
 def _prepare(args):
@@ -90,7 +58,7 @@ def _prepare(args):
     image = _load_image(args.image)
     mask = parse_psf_spec(args.psf)
     op = BlurOperator(mask, BoundaryCondition(args.bc), image.shape[-2:])
-    mixing = _parse_mix(args.mix)
+    mixing = None if args.mix is None else parse_mix_spec(args.mix)
     if image.ndim == 3 and mixing is None:
         mixing = identity_mixing()
     if image.ndim == 2 and mixing is not None:
@@ -112,42 +80,25 @@ def _cmd_blur(args):
 
 
 def _filter_spec(args):
-    chosen = [
-        name
-        for name, value in (
-            ("--count", args.count),
-            ("--threshold", args.threshold),
-            ("--mu", args.mu),
+    """The one filter setting given; restore rejects a method mismatch."""
+    given = [
+        (spec_type, value)
+        for spec_type, value in (
+            (TruncateByCount, args.count),
+            (TruncateByThreshold, args.threshold),
+            (Tikhonov, args.mu),
         )
         if value is not None
     ]
-    if len(chosen) != 1:
+    if len(given) != 1:
         raise ConfigError("set exactly one of --count, --threshold, --mu")
-    if args.method == "tikhonov":
-        if args.mu is None:
-            raise ConfigError("method tikhonov requires --mu")
-        return Tikhonov(args.mu)
-    if args.mu is not None:
-        raise ConfigError(f"method {args.method} takes --count or --threshold")
-    if args.count is not None:
-        return TruncateByCount(args.count)
-    return TruncateByThreshold(args.threshold)
+    spec_type, value = given[0]
+    return spec_type(value)
 
 
 def _cmd_restore(args):
     image, op, mixing = _prepare(args)
-    spec = _filter_spec(args)
-    color = image.ndim == 3
-    if args.method == "tsd":
-        func = color_truncated_sd if color else truncated_sd_restore
-    elif args.method == "tsvd":
-        func = color_truncated_svd if color else truncated_svd_restore
-    else:
-        func = color_tikhonov if color else tikhonov_restore
-    if color:
-        result = func(image, mixing, op, spec)
-    else:
-        result = func(image, op, spec)
+    result = restore(image, op, args.method, _filter_spec(args), mixing)
     _save_image(args.out, result.image, args.maxval)
     print(
         f"wrote {args.out} method={result.method} parameter={result.parameter:g} "
@@ -159,23 +110,10 @@ def _cmd_restore(args):
 def _cmd_sweep(args):
     image, op, mixing = _prepare(args)
     reference = _load_image(args.reference)
-    color = image.ndim == 3
+    grid = None
     if args.method == "tikhonov":
         grid = np.logspace(np.log10(args.mu_lo), np.log10(args.mu_hi), args.mu_count)
-        if color:
-            curve = _color_mu_sweep(image, mixing, op, reference, grid)
-        else:
-            curve = mu_sweep(image, op, reference, grid)
-    elif args.method == "tsd":
-        if color:
-            curve = _color_tsd_sweep(image, mixing, op, reference, args.max_terms)
-        else:
-            curve = rre_sweep(image, op, reference, args.max_terms)
-    else:
-        if color:
-            curve = _color_tsvd_sweep(image, mixing, op, reference, args.max_terms)
-        else:
-            curve = svd_rre_sweep(image, op, reference, args.max_terms)
+    curve = sweep(image, op, args.method, reference, mixing, args.max_terms, grid)
     save_curve_csv(curve, args.out)
     if args.method == "tikhonov":
         best = f"{curve.best_param:.6e}"
@@ -205,8 +143,7 @@ def _add_common(parser, with_method):
                         help="9 comma separated mixing entries for color images")
     parser.add_argument("--out", required=True, help="output file")
     if with_method:
-        parser.add_argument("--method", required=True,
-                            choices=("tsd", "tsvd", "tikhonov"))
+        parser.add_argument("--method", required=True, choices=METHODS)
 
 
 def _build_parser():

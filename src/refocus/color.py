@@ -2,11 +2,16 @@
 
 A color image is an array of shape (3, n1, n2) in RGB channel order.
 Cross-channel blur applies the same spatial operator to every channel
-and then mixes the channels pixelwise with a row-stochastic 3x3 matrix,
-so the full operator is the Kronecker product of the mixing matrix and
-the spatial operator. Because the two factors commute with the spectral
-machinery, restoration filters solve a tiny 3-vector problem per kept
-spectral index instead of anything of full size.
+and then mixes the channels pixelwise with a row-stochastic 3x3 matrix
+M, so the full operator is the Kronecker product of M and the spatial
+operator. Because the two factors commute with the spectral machinery,
+the color filters are the channel-generic core of filtering.py, of
+which gray is the one-channel case with no mixing step. Truncation
+unmixes the three channel coefficients of every kept spectral index by
+the inverse of M. Tikhonov is closed form through the eigendecomposition
+M^T M = V diag(d) V^T: fhat = V (lam / (lam^2 d + mu)) V^T M^T ghat per
+index, so there is no 3x3 solve per index and the work beyond the
+transforms stays linear in the pixel count.
 """
 
 from __future__ import annotations
@@ -15,23 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularMixingError, SizeMismatchError
-from .filtering import (
-    RestorationResult,
-    Tikhonov,
-    TruncateByThreshold,
-    _keep_mask,
-    _separable_svd,
-)
+from .errors import InvalidParameterError
+from .filtering import Tikhonov, _check_data, _mix, restore
 from .operators import apply_blur
-from .spectrum import (
-    eigen_grid_for,
-    sort_spectrum,
-    spectral_analysis,
-    spectral_synthesis,
-)
-
-_SOLVE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -59,38 +50,13 @@ def identity_mixing():
     return ColorMixing(np.eye(3))
 
 
-def _check_color(image, op):
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise SizeMismatchError(
-            f"color image must have shape (3, n1, n2), got {image.shape}"
-        )
-    if image.shape[1:] != op.shape:
-        raise SizeMismatchError(
-            f"color image {image.shape[1:]} does not match operator {op.shape}"
-        )
-    return image
-
-
-def _mix(matrix, channels):
-    return np.tensordot(matrix, channels, axes=([1], [0]))
-
-
-def _inverse_mixing(mixing):
-    """Invert the mixing matrix through its SVD, rejecting singular ones."""
-    u, s, vt = np.linalg.svd(mixing.matrix)
-    if s[-1] <= 1e-12 * s[0]:
-        raise SingularMixingError("mixing matrix is singular")
-    return (vt.T / s) @ u.T
-
-
 def cross_channel_blur(image, mixing, op):
     """Blur every channel with op, then mix channels pixelwise.
 
     Equivalent to applying the Kronecker product of the mixing matrix
     and the spatial operator to the channel-stacked image vector.
     """
-    image = _check_color(image, op)
+    image = _check_data(image, op, mixing)
     return _mix(mixing.matrix, apply_blur(op, image))
 
 
@@ -102,27 +68,7 @@ def color_truncated_sd(g, mixing, op, spec):
     index keeps all three channel components, which are unmixed by the
     inverse of the mixing matrix.
     """
-    g = _check_color(g, op)
-    grid = eigen_grid_for(op)
-    lam = grid.values
-    keep, skipped = _keep_mask(np.abs(lam).ravel(), sort_spectrum(grid), spec)
-    unmix = _inverse_mixing(mixing)
-    ghat = spectral_analysis(g, op.bc)
-    fhat = np.zeros_like(ghat)
-    np.divide(
-        _mix(unmix, ghat),
-        lam,
-        out=fhat,
-        where=keep.reshape(lam.shape),
-    )
-    parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
-    return RestorationResult(
-        image=spectral_synthesis(fhat, op.bc),
-        method="tsd",
-        parameter=float(parameter),
-        count_kept=int(keep.sum()),
-        skipped_zero=skipped,
-    )
+    return restore(g, op, "tsd", spec, mixing)
 
 
 def color_truncated_svd(g, mixing, op, spec):
@@ -132,58 +78,16 @@ def color_truncated_svd(g, mixing, op, spec):
     product of factor singular values) and unmixes the three channel
     components of each kept triplet.
     """
-    g = _check_color(g, op)
-    (u1, s1, v1t), (u2, s2, v2t) = _separable_svd(op)
-    products = np.multiply.outer(s1, s2)
-    magnitudes = products.ravel()
-    order = np.argsort(-magnitudes, kind="stable")
-    keep, skipped = _keep_mask(magnitudes, order, spec)
-    unmix = _inverse_mixing(mixing)
-    coef = np.einsum("ik,cij,jl->ckl", u1, g, u2, optimize=True)
-    fhat = np.zeros_like(coef)
-    np.divide(
-        _mix(unmix, coef),
-        products,
-        out=fhat,
-        where=keep.reshape(products.shape),
-    )
-    image = np.einsum("ik,ckl,lj->cij", v1t.T, fhat, v2t, optimize=True)
-    parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
-    return RestorationResult(
-        image=image,
-        method="tsvd",
-        parameter=float(parameter),
-        count_kept=int(keep.sum()),
-        skipped_zero=skipped,
-    )
+    return restore(g, op, "tsvd", spec, mixing)
 
 
 def color_tikhonov(g, mixing, op, mu):
     """Regularized inversion of a cross-channel blur.
 
-    For every spectral index k the channels couple through a 3x3 system
-    (lam_k^2 M^T M + mu I) fhat_k = lam_k M^T ghat_k, solved directly in
-    batches; the total work stays linear in the pixel count.
+    For every spectral index k the channels couple through the 3x3
+    system (lam_k^2 M^T M + mu I) fhat_k = lam_k M^T ghat_k, solved in
+    closed form through the eigendecomposition of M^T M computed once;
+    the total work stays linear in the pixel count.
     """
     spec = mu if isinstance(mu, Tikhonov) else Tikhonov(mu)
-    g = _check_color(g, op)
-    lam = eigen_grid_for(op).values
-    ghat = spectral_analysis(g, op.bc)
-    m = mixing.matrix
-    gram = m.T @ m
-    lam_flat = lam.ravel()
-    rhs_all = _mix(m.T, ghat).reshape(3, -1) * lam_flat
-    fhat_flat = np.empty_like(rhs_all)
-    eye = np.eye(3)
-    for start in range(0, lam_flat.size, _SOLVE_CHUNK):
-        stop = min(start + _SOLVE_CHUNK, lam_flat.size)
-        lam_sq = lam_flat[start:stop] ** 2
-        systems = lam_sq[:, None, None] * gram + spec.mu * eye
-        rhs = rhs_all[:, start:stop].T[:, :, None]
-        fhat_flat[:, start:stop] = np.linalg.solve(systems, rhs)[:, :, 0].T
-    return RestorationResult(
-        image=spectral_synthesis(fhat_flat.reshape(g.shape), op.bc),
-        method="tikhonov",
-        parameter=float(spec.mu),
-        count_kept=lam.size,
-    )
+    return restore(g, op, "tikhonov", spec, mixing)

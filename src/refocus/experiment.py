@@ -11,37 +11,25 @@ bytes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .color import (
-    ColorMixing,
-    _inverse_mixing,
-    _mix,
-    color_tikhonov,
-    color_truncated_sd,
-    color_truncated_svd,
-    cross_channel_blur,  # noqa: F401  (re-exported convenience)
-    identity_mixing,
-)
-from .errors import ConfigError
+from .color import ColorMixing, identity_mixing
+from .errors import ConfigError, SizeMismatchError
 from .filtering import (
-    SweepCurve,
+    METHODS,
+    Tikhonov,
     TruncateByCount,
-    _incremental_sweep,
-    _separable_svd,
-    mu_sweep,
-    rre_sweep,
+    _mix,
+    restore,
     save_curve_csv,
-    svd_rre_sweep,
-    tikhonov_restore,
-    truncated_sd_restore,
-    truncated_svd_restore,
+    sweep,
 )
 from .imageio import read_image, read_matrix, write_image
-from .metrics import NoiseSpec, add_noise, picard_data, rre, save_picard_csv
+from .metrics import NoiseSpec, add_noise, picard_data, save_picard_csv
 from .operators import BlurOperator, BoundaryCondition, blur_oversized_scene, fov_crop
 from .psf import (
     gaussian_mask,
@@ -50,10 +38,8 @@ from .psf import (
     out_of_focus_mask,
     separable_factors,
 )
-from .spectrum import eigen_grid_for, spectral_analysis, synthesis_kind
-from .transforms import dense_transform
+from .spectrum import eigen_grid_for
 
-_METHODS = ("tsd", "tsvd", "tikhonov")
 _MAXVALS = (255, 65535)
 _KNOWN_KEYS = frozenset(
     {
@@ -81,6 +67,20 @@ def low_frequency_scene(shape):
     varies all the way to its borders, so cropping a field of view out
     of it leaves genuinely unknown surroundings.
     """
+    return _scene_channel(shape, 1.0, 0.0)
+
+
+def low_frequency_scene_color(shape):
+    """Three-channel variant with per-channel amplitude and phase shifts."""
+    return np.stack(
+        [
+            _scene_channel(shape, amp, phase)
+            for amp, phase in ((1.0, 0.0), (0.92, 0.7), (0.84, 1.4))
+        ]
+    )
+
+
+def _scene_channel(shape, amp, phase):
     n1, n2 = int(shape[0]), int(shape[1])
     if n1 < 1 or n2 < 1:
         raise ConfigError(f"scene shape must be positive, got {shape}")
@@ -88,27 +88,10 @@ def low_frequency_scene(shape):
     v = np.linspace(0.0, 1.0, n2)[None, :]
     return (
         0.5
-        + 0.28 * (np.cos(3.2 * (u - 0.5)) - 0.6)
-        + 0.238 * (np.cos(2.88 * (v - 0.5)) - 0.6)
-        + 0.03 * np.sin(2.8 * (u - 0.5) + 1.96 * (v - 0.5) + 0.3)
-    )
-
-
-def low_frequency_scene_color(shape):
-    """Three-channel variant with per-channel amplitude and phase shifts."""
-    n1, n2 = int(shape[0]), int(shape[1])
-    if n1 < 1 or n2 < 1:
-        raise ConfigError(f"scene shape must be positive, got {shape}")
-    u = np.linspace(0.0, 1.0, n1)[:, None]
-    v = np.linspace(0.0, 1.0, n2)[None, :]
-    channels = [
-        0.5
         + amp * 0.28 * (np.cos(3.2 * (u - 0.5)) - 0.6)
         + amp * 0.238 * (np.cos(2.88 * (v - 0.5)) - 0.6)
         + 0.03 * np.sin(2.8 * (u - 0.5) + 1.96 * (v - 0.5) + 0.3 + phase)
-        for amp, phase in ((1.0, 0.0), (0.92, 0.7), (0.84, 1.4))
-    ]
-    return np.stack(channels)
+    )
 
 
 @dataclass(frozen=True)
@@ -150,15 +133,17 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("at least one method is required")
         for method in self.methods:
-            if method not in _METHODS:
-                raise ConfigError(f"unknown method {method!r}, expected {_METHODS}")
+            if method not in METHODS:
+                raise ConfigError(f"unknown method {method!r}, expected {METHODS}")
         if not self.rhos:
             raise ConfigError("at least one noise level is required")
         for rho in self.rhos:
             if not (np.isfinite(rho) and rho >= 0):
                 raise ConfigError(f"rho must be finite and >= 0, got {rho}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an int")
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ConfigError(f"seed must be an int, got {self.seed!r}") from None
         if not (self.mu_lo > 0 and self.mu_hi > self.mu_lo):
             raise ConfigError("mu range must satisfy 0 < mu_lo < mu_hi")
         if self.mu_count < 1:
@@ -271,13 +256,7 @@ def load_config(path=None, overrides=()):
     if "out" in raw:
         kwargs["out"] = raw["out"]
     if "mix" in raw:
-        entries = [_parse_float(tok, "mix entry") for tok in _parse_tokens(raw["mix"])]
-        if len(entries) != 9:
-            raise ConfigError("mix must hold 9 comma separated row-major entries")
-        try:
-            kwargs["mix"] = ColorMixing(np.array(entries).reshape(3, 3))
-        except ValueError as exc:
-            raise ConfigError(f"invalid mixing matrix: {exc}") from exc
+        kwargs["mix"] = parse_mix_spec(raw["mix"])
     if "mu_lo" in raw:
         kwargs["mu_lo"] = _parse_float(raw["mu_lo"], "mu_lo")
     if "mu_hi" in raw:
@@ -289,6 +268,17 @@ def load_config(path=None, overrides=()):
     if "maxval" in raw:
         kwargs["maxval"] = _parse_int(raw["maxval"], "maxval")
     return ExperimentConfig(**kwargs)
+
+
+def parse_mix_spec(spec):
+    """Build a ColorMixing from 9 comma separated row-major entries."""
+    entries = [_parse_float(tok, "mix entry") for tok in _parse_tokens(spec)]
+    if len(entries) != 9:
+        raise ConfigError("mix must hold 9 comma separated row-major entries")
+    try:
+        return ColorMixing(np.array(entries).reshape(3, 3))
+    except ValueError as exc:
+        raise ConfigError(f"invalid mixing matrix: {exc}") from exc
 
 
 def parse_psf_spec(spec):
@@ -349,64 +339,14 @@ def _resolve_scene(config):
     )
 
 
-def _color_tsd_sweep(g, mixing, op, f_true, max_terms):
-    coef = _mix(_inverse_mixing(mixing), spectral_analysis(g, op.bc))
-    lam = eigen_grid_for(op).values
-    kind = synthesis_kind(op.bc)
-    basis1 = dense_transform(kind, op.shape[0])
-    basis2 = dense_transform(kind, op.shape[1])
-    return _incremental_sweep(coef, lam, basis1, basis2, f_true, max_terms, "tsd")
-
-
-def _color_tsvd_sweep(g, mixing, op, f_true, max_terms):
-    (u1, s1, v1t), (u2, s2, v2t) = _separable_svd(op)
-    coef = np.einsum("ik,cij,jl->ckl", u1, g, u2, optimize=True)
-    coef = _mix(_inverse_mixing(mixing), coef)
-    products = np.multiply.outer(s1, s2)
-    return _incremental_sweep(
-        coef, products, v1t.T, v2t.T, f_true, max_terms, "tsvd"
-    )
-
-
-def _color_mu_sweep(g, mixing, op, f_true, mu_grid):
-    rres = np.array(
-        [rre(color_tikhonov(g, mixing, op, mu).image, f_true) for mu in mu_grid]
-    )
-    return SweepCurve(params=np.asarray(mu_grid, dtype=float), rres=rres, method="tikhonov")
-
-
 def _run_case(g, op, mixing, method, f_true, config):
     """Sweep one (data, operator, method) case, restore at the optimum."""
+    curve = sweep(g, op, method, f_true, mixing, config.max_terms, config.mu_grid())
     if method == "tikhonov":
-        grid = config.mu_grid()
-        if mixing is None:
-            curve = mu_sweep(g, op, f_true, grid)
-            restored = tikhonov_restore(g, op, float(curve.best_param))
-        else:
-            curve = _color_mu_sweep(g, mixing, op, f_true, grid)
-            restored = color_tikhonov(g, mixing, op, float(curve.best_param))
-        return curve, restored
-    if method == "tsd":
-        if mixing is None:
-            curve = rre_sweep(g, op, f_true, config.max_terms)
-            restored = truncated_sd_restore(
-                g, op, TruncateByCount(int(curve.best_param))
-            )
-        else:
-            curve = _color_tsd_sweep(g, mixing, op, f_true, config.max_terms)
-            restored = color_truncated_sd(
-                g, mixing, op, TruncateByCount(int(curve.best_param))
-            )
-        return curve, restored
-    if mixing is None:
-        curve = svd_rre_sweep(g, op, f_true, config.max_terms)
-        restored = truncated_svd_restore(g, op, TruncateByCount(int(curve.best_param)))
+        best = Tikhonov(float(curve.best_param))
     else:
-        curve = _color_tsvd_sweep(g, mixing, op, f_true, config.max_terms)
-        restored = color_truncated_svd(
-            g, mixing, op, TruncateByCount(int(curve.best_param))
-        )
-    return curve, restored
+        best = TruncateByCount(int(curve.best_param))
+    return curve, restore(g, op, method, best, mixing)
 
 
 def run_experiment(config):
@@ -433,12 +373,10 @@ def run_experiment(config):
         mixing = identity_mixing()
     if not color and config.mix is not None:
         raise ConfigError("mix was set but the scene is grayscale")
-    q1, q2 = mask.half_support
-    if scene.shape[-2] < 2 * q1 + 1 or scene.shape[-1] < 2 * q2 + 1:
-        raise ConfigError(
-            f"scene {scene.shape[-2:]} too small for psf margins {(q1, q2)}"
-        )
-    f_true = fov_crop(scene, (q1, q2))
+    try:
+        f_true = fov_crop(scene, mask.half_support)
+    except SizeMismatchError as exc:
+        raise ConfigError(f"scene too small for the psf margins: {exc}") from None
     shape = f_true.shape[-2:]
     ops = {bc: BlurOperator(mask, bc, shape) for bc in config.bcs}
     for op in ops.values():
@@ -459,8 +397,7 @@ def run_experiment(config):
             op = ops[bc]
             magnitudes, coefs = picard_data(noisy, op)
             for method in config.methods:
-                curve, restored = _run_case(noisy, op, mixing if color else None,
-                                            method, f_true, config)
+                curve, restored = _run_case(noisy, op, mixing, method, f_true, config)
                 subdir = out / f"{bc.value}_{method}_rho{rho:g}"
                 subdir.mkdir(parents=True, exist_ok=True)
                 save_curve_csv(curve, subdir / "curve.csv")

@@ -12,6 +12,12 @@ For the anti-reflective rule the Tikhonov formula keeps the operator's
 own basis instead of forming adjoint normal equations, which is what
 re-blurred regularization means: it minimizes the data misfit and the
 penalty measured in analysis coordinates.
+
+One channel-generic core, `restore` and `sweep`, serves gray and color
+data alike: gray is one (n1, n2) channel with no mixing step, color is
+a (3, n1, n2) stack whose channel coefficients are unmixed by the 3x3
+mixing matrix M (see color.py). The per-filter functions here and in
+color.py are thin wrappers over that core.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, SizeMismatchError
+from .errors import InvalidParameterError, SingularMixingError, SizeMismatchError
 from .operators import assemble_dense_1d
 from .psf import separable_factors
 from .spectrum import (
@@ -36,6 +42,8 @@ from .transforms import dense_transform
 # Spectral values smaller than this are treated as exact zeros and never
 # inverted; count-based truncation skips them and reports how many.
 ZERO_SPECTRUM_TOL = 1e-14
+
+METHODS = ("tsd", "tsvd", "tikhonov")
 
 
 @dataclass(frozen=True)
@@ -123,17 +131,59 @@ class SweepCurve:
         return float(self.rres[self.best_index])
 
 
-def _check_data(g, op):
-    g = np.asarray(g, dtype=float)
-    if g.shape != op.shape:
-        raise SizeMismatchError(
-            f"data shape {g.shape} does not match operator {op.shape}"
-        )
-    return g
+def _check_data(x, op, mixing, what="data"):
+    """The one entry check: (n1, n2) gray or (3, n1, n2) color, finite."""
+    x = np.asarray(x, dtype=float)
+    expected = op.shape if mixing is None else (3,) + op.shape
+    if x.shape != expected:
+        raise SizeMismatchError(f"{what} shape {x.shape} does not match {expected}")
+    if not np.isfinite(x).all():
+        raise InvalidParameterError(f"{what} holds NaN or inf values")
+    return x
 
 
-def _keep_mask(magnitudes, order, spec):
-    """Flat boolean mask of retained indices plus skipped-zero count."""
+def _mix(matrix, channels):
+    """Mix the channels on the leading axis pixelwise by a 3x3 matrix."""
+    return np.tensordot(matrix, channels, axes=([1], [0]))
+
+
+def _unmix(coef, mixing):
+    """Apply M^-1 (from the SVD of M, rejecting singular M); gray as is."""
+    if mixing is None:
+        return coef
+    u, s, vt = np.linalg.svd(mixing.matrix)
+    if s[-1] <= 1e-12 * s[0]:
+        raise SingularMixingError("mixing matrix is singular")
+    return _mix((vt.T / s) @ u.T, coef)
+
+
+def _tikhonov(coef, lam, mixing):
+    """Tikhonov coefficients as a function of mu, from fixed coefficients.
+
+    Every spectral index solves (lam^2 M^T M + mu I) fhat = lam M^T ghat,
+    with M = [1] for gray. With eigh(M^T M) = V diag(d) V^T the solution
+    is closed form, fhat = V (lam / (lam^2 d + mu)) V^T M^T ghat, so no
+    index needs a 3x3 solve and one analysis serves a whole mu grid.
+    """
+    if mixing is None:
+        rhs, lam_sq, rotation = lam * coef, lam * lam, None
+    else:
+        m = mixing.matrix
+        d, rotation = np.linalg.eigh(m.T @ m)
+        rhs = lam * _mix(rotation.T @ m.T, coef)
+        lam_sq = (lam * lam) * d[:, None, None]
+
+    def damped(mu):
+        fhat = lam_sq + mu
+        np.divide(rhs, fhat, out=fhat)
+        return fhat if rotation is None else _mix(rotation, fhat)
+
+    return damped
+
+
+def _keep_mask(spectrum, spec):
+    """Boolean mask of retained indices plus skipped-zero count."""
+    magnitudes = np.abs(spectrum)
     if isinstance(spec, TruncateByThreshold):
         return magnitudes >= spec.delta, 0
     if isinstance(spec, TruncateByCount):
@@ -141,12 +191,82 @@ def _keep_mask(magnitudes, order, spec):
             raise InvalidParameterError(
                 f"count {spec.k} exceeds spectrum size {magnitudes.size}"
             )
-        chosen = order[: spec.k]
-        nonzero = magnitudes[chosen] >= ZERO_SPECTRUM_TOL
+        chosen = sort_spectrum(magnitudes)[: spec.k]
+        nonzero = magnitudes.ravel()[chosen] >= ZERO_SPECTRUM_TOL
         keep = np.zeros(magnitudes.size, dtype=bool)
         keep[chosen[nonzero]] = True
-        return keep, int(spec.k - nonzero.sum())
+        return keep.reshape(magnitudes.shape), int(spec.k - nonzero.sum())
     raise InvalidParameterError(f"not a truncation spec: {spec!r}")
+
+
+def _signed_svd(matrix):
+    """SVD with each left singular vector's largest entry made positive."""
+    u, s, vt = np.linalg.svd(matrix)
+    for k in range(u.shape[1]):
+        peak = np.argmax(np.abs(u[:, k]))
+        if u[peak, k] < 0:
+            u[:, k] = -u[:, k]
+            vt[k, :] = -vt[k, :]
+    return u, s, vt
+
+
+def _filter_basis(op, method):
+    """(spectrum, analysis, synthesis, dense) of a method's spatial basis.
+
+    The maps act on the last two axes, so channel stacks pass through;
+    dense() gives the per-axis synthesis matrices of the basis images.
+    """
+    if method in ("tsd", "tikhonov"):
+        kind = synthesis_kind(op.bc)
+        return (
+            eigen_grid_for(op).values,
+            lambda x: spectral_analysis(x, op.bc),
+            lambda x: spectral_synthesis(x, op.bc),
+            lambda: [dense_transform(kind, n) for n in op.shape],
+        )
+    if method == "tsvd":
+        (u1, s1, v1t), (u2, s2, v2t) = (
+            _signed_svd(assemble_dense_1d(w, n, op.bc))
+            for w, n in zip(separable_factors(op.mask), op.shape)
+        )
+        return (
+            np.multiply.outer(s1, s2),
+            lambda x: u1.T @ x @ u2,
+            lambda x: v1t.T @ x @ v2t,
+            lambda: (v1t.T, v2t.T),
+        )
+    raise InvalidParameterError(f"unknown method {method!r}, expected {METHODS}")
+
+
+def restore(g, op, method, spec, mixing=None):
+    """Restore data with one filter setting; the core of every restore.
+
+    g is (n1, n2) gray data, or (3, n1, n2) color data blurred across
+    channels by mixing (a ColorMixing). method is one of METHODS; tsvd
+    needs a separable mask. spec is a Tikhonov for tikhonov and a
+    truncation spec otherwise. Returns a RestorationResult.
+    """
+    if isinstance(spec, Tikhonov) != (method == "tikhonov"):
+        raise InvalidParameterError(f"method {method!r} cannot use {spec!r}")
+    g = _check_data(g, op, mixing)
+    lam, analysis, synthesis, _dense = _filter_basis(op, method)
+    if method == "tikhonov":
+        fhat = _tikhonov(analysis(g), lam, mixing)(spec.mu)
+        parameter, kept, skipped = spec.mu, lam.size, 0
+    else:
+        keep, skipped = _keep_mask(lam, spec)
+        coef = _unmix(analysis(g), mixing)
+        fhat = np.zeros_like(coef)
+        np.divide(coef, lam, out=fhat, where=keep)
+        parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
+        kept = int(keep.sum())
+    return RestorationResult(
+        image=synthesis(fhat),
+        method=method,
+        parameter=float(parameter),
+        count_kept=kept,
+        skipped_zero=skipped,
+    )
 
 
 def truncated_sd_restore(g, op, spec):
@@ -164,23 +284,7 @@ def truncated_sd_restore(g, op, spec):
     -------
     RestorationResult
     """
-    g = _check_data(g, op)
-    grid = eigen_grid_for(op)
-    lam = grid.values
-    magnitudes = np.abs(lam).ravel()
-    keep, skipped = _keep_mask(magnitudes, sort_spectrum(grid), spec)
-    ghat = spectral_analysis(g, op.bc)
-    fhat = np.zeros_like(ghat)
-    np.divide(ghat, lam, out=fhat, where=keep.reshape(lam.shape))
-    image = spectral_synthesis(fhat, op.bc)
-    parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
-    return RestorationResult(
-        image=image,
-        method="tsd",
-        parameter=float(parameter),
-        count_kept=int(keep.sum()),
-        skipped_zero=skipped,
-    )
+    return restore(g, op, "tsd", spec)
 
 
 def tikhonov_restore(g, op, mu):
@@ -191,35 +295,7 @@ def tikhonov_restore(g, op, mu):
     in the operator's own (non-orthogonal) basis.
     """
     spec = mu if isinstance(mu, Tikhonov) else Tikhonov(mu)
-    g = _check_data(g, op)
-    lam = eigen_grid_for(op).values
-    ghat = spectral_analysis(g, op.bc)
-    fhat = lam * ghat / (lam * lam + spec.mu)
-    return RestorationResult(
-        image=spectral_synthesis(fhat, op.bc),
-        method="tikhonov",
-        parameter=float(spec.mu),
-        count_kept=lam.size,
-    )
-
-
-def _signed_svd(matrix):
-    """SVD with each left singular vector's largest entry made positive."""
-    u, s, vt = np.linalg.svd(matrix)
-    for k in range(u.shape[1]):
-        peak = np.argmax(np.abs(u[:, k]))
-        if u[peak, k] < 0:
-            u[:, k] = -u[:, k]
-            vt[k, :] = -vt[k, :]
-    return u, s, vt
-
-
-def _separable_svd(op):
-    col_factor, row_factor = separable_factors(op.mask)
-    n1, n2 = op.shape
-    u1, s1, v1t = _signed_svd(assemble_dense_1d(col_factor, n1, op.bc))
-    u2, s2, v2t = _signed_svd(assemble_dense_1d(row_factor, n2, op.bc))
-    return (u1, s1, v1t), (u2, s2, v2t)
+    return restore(g, op, "tikhonov", spec)
 
 
 def truncated_svd_restore(g, op, spec):
@@ -234,27 +310,11 @@ def truncated_svd_restore(g, op, spec):
     NotSeparableError
         If the operator's mask is not a 1-D outer product.
     """
-    g = _check_data(g, op)
-    (u1, s1, v1t), (u2, s2, v2t) = _separable_svd(op)
-    products = np.multiply.outer(s1, s2)
-    magnitudes = products.ravel()
-    order = np.argsort(-magnitudes, kind="stable")
-    keep, skipped = _keep_mask(magnitudes, order, spec)
-    coef = u1.T @ g @ u2
-    fhat = np.zeros_like(coef)
-    np.divide(coef, products, out=fhat, where=keep.reshape(products.shape))
-    image = v1t.T @ fhat @ v2t
-    parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
-    return RestorationResult(
-        image=image,
-        method="tsvd",
-        parameter=float(parameter),
-        count_kept=int(keep.sum()),
-        skipped_zero=skipped,
-    )
+    return restore(g, op, "tsvd", spec)
 
 
-def _incremental_sweep(coef, denom, basis1, basis2, f_true, max_terms, method):
+def _incremental_sweep(coef, denom, basis1, basis2, f_true, true_norm, max_terms,
+                       method):
     """Grow a truncated expansion one term at a time, recording the RRE.
 
     Each step adds coefficient coef[idx]/denom[idx] times the rank-one
@@ -262,12 +322,8 @@ def _incremental_sweep(coef, denom, basis1, basis2, f_true, max_terms, method):
     sweep costs a handful of passes over the image per term. coef and
     f_true may carry a leading channel axis.
     """
-    f_true = np.asarray(f_true, dtype=float)
-    true_norm = np.linalg.norm(f_true)
-    if not true_norm > 0:
-        raise InvalidParameterError("reference image must be nonzero")
     magnitudes = np.abs(denom).ravel()
-    order = np.argsort(-magnitudes, kind="stable")
+    order = sort_spectrum(denom)
     usable = order[magnitudes[order] >= ZERO_SPECTRUM_TOL]
     total = usable.size if max_terms is None else min(usable.size, int(max_terms))
     n2 = denom.shape[1]
@@ -286,6 +342,34 @@ def _incremental_sweep(coef, denom, basis1, basis2, f_true, max_terms, method):
     )
 
 
+def sweep(g, op, method, f_true, mixing=None, max_terms=None, mu_grid=None):
+    """Restoration error over a parameter range; the core of every sweep.
+
+    Arguments as in restore; f_true is the reference, shaped like g. The
+    data is analyzed once per curve. The truncation methods add one index
+    at a time in spectral order, up to max_terms; tikhonov runs over
+    mu_grid (default_mu_grid() when None). Returns a SweepCurve.
+    """
+    g = _check_data(g, op, mixing)
+    f_true = _check_data(f_true, op, mixing, "reference")
+    true_norm = np.linalg.norm(f_true)
+    if not true_norm > 0:
+        raise InvalidParameterError("reference image must be nonzero")
+    if method == "tikhonov":
+        mu_grid = _check_mu_grid(mu_grid)
+    lam, analysis, synthesis, dense = _filter_basis(op, method)
+    coef = analysis(g)
+    if method != "tikhonov":
+        return _incremental_sweep(
+            _unmix(coef, mixing), lam, *dense(), f_true, true_norm, max_terms, method
+        )
+    damped = _tikhonov(coef, lam, mixing)
+    rres = np.empty(mu_grid.size)
+    for i, mu in enumerate(mu_grid):
+        rres[i] = np.linalg.norm(synthesis(damped(mu)) - f_true) / true_norm
+    return SweepCurve(params=mu_grid, rres=rres, method=method)
+
+
 def rre_sweep(g, op, f_true, max_terms=None):
     """Restoration error of truncated inversion for every count k.
 
@@ -295,29 +379,30 @@ def rre_sweep(g, op, f_true, max_terms=None):
         params holds k = 1..K in spectral order; best_param is the
         count with the smallest error.
     """
-    g = _check_data(g, op)
-    lam = eigen_grid_for(op).values
-    ghat = spectral_analysis(g, op.bc)
-    kind = synthesis_kind(op.bc)
-    basis1 = dense_transform(kind, op.shape[0])
-    basis2 = dense_transform(kind, op.shape[1])
-    return _incremental_sweep(ghat, lam, basis1, basis2, f_true, max_terms, "tsd")
+    return sweep(g, op, "tsd", f_true, max_terms=max_terms)
 
 
 def svd_rre_sweep(g, op, f_true, max_terms=None):
     """Restoration error of the separable truncated SVD for every count."""
-    g = _check_data(g, op)
-    (u1, s1, v1t), (u2, s2, v2t) = _separable_svd(op)
-    coef = u1.T @ g @ u2
-    products = np.multiply.outer(s1, s2)
-    return _incremental_sweep(
-        coef, products, v1t.T, v2t.T, f_true, max_terms, "tsvd"
-    )
+    return sweep(g, op, "tsvd", f_true, max_terms=max_terms)
 
 
 def default_mu_grid():
     """Forty log-spaced regularization weights spanning [1e-8, 1]."""
     return np.logspace(-8.0, 0.0, 40)
+
+
+def _check_mu_grid(mu_grid):
+    if mu_grid is None:
+        return default_mu_grid()
+    mu_grid = np.asarray(mu_grid, dtype=float)
+    if mu_grid.ndim != 1 or mu_grid.size == 0:
+        raise InvalidParameterError("mu grid must be a nonempty 1-D array")
+    if not (mu_grid > 0).all():
+        raise InvalidParameterError("mu grid must be strictly positive")
+    if mu_grid.size > 1 and not (np.diff(mu_grid) > 0).all():
+        raise InvalidParameterError("mu grid must be strictly increasing")
+    return mu_grid
 
 
 def mu_sweep(g, op, f_true, mu_grid=None):
@@ -326,28 +411,7 @@ def mu_sweep(g, op, f_true, mu_grid=None):
     The analysis coefficients and the eigenvalue grid are computed once
     and reused across the whole grid.
     """
-    g = _check_data(g, op)
-    if mu_grid is None:
-        mu_grid = default_mu_grid()
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    if mu_grid.ndim != 1 or mu_grid.size == 0:
-        raise InvalidParameterError("mu grid must be a nonempty 1-D array")
-    if not (mu_grid > 0).all():
-        raise InvalidParameterError("mu grid must be strictly positive")
-    if mu_grid.size > 1 and not (np.diff(mu_grid) > 0).all():
-        raise InvalidParameterError("mu grid must be strictly increasing")
-    f_true = np.asarray(f_true, dtype=float)
-    true_norm = np.linalg.norm(f_true)
-    if not true_norm > 0:
-        raise InvalidParameterError("reference image must be nonzero")
-    lam = eigen_grid_for(op).values
-    ghat = spectral_analysis(g, op.bc)
-    lam_sq = lam * lam
-    rres = np.empty(mu_grid.size)
-    for i, mu in enumerate(mu_grid):
-        restored = spectral_synthesis(lam * ghat / (lam_sq + mu), op.bc)
-        rres[i] = np.linalg.norm(restored - f_true) / true_norm
-    return SweepCurve(params=mu_grid, rres=rres, method="tikhonov")
+    return sweep(g, op, "tikhonov", f_true, mu_grid=mu_grid)
 
 
 def save_curve_csv(curve, path):

@@ -120,11 +120,14 @@ def write_image(path, image, maxval=255):
     """Write an image as binary PGM (2-D input) or PPM (3, n1, n2 input).
 
     Values are clipped to [0, 1] and quantized by round half up. A
-    maxval of 65535 writes big-endian 16-bit samples.
+    maxval of 65535 writes big-endian 16-bit samples. Non-finite samples
+    are rejected before the file is opened.
     """
     if maxval not in _MAXVALS:
         raise InvalidParameterError(f"maxval must be one of {_MAXVALS}, got {maxval}")
     image = np.asarray(image, dtype=float)
+    if not np.isfinite(image).all():
+        raise InvalidParameterError("image holds NaN or inf samples")
     if image.ndim == 2:
         magic, height, width = b"P5", image.shape[0], image.shape[1]
         samples = _quantize(image, maxval)
@@ -145,13 +148,15 @@ def write_image(path, image, maxval=255):
 
 
 def read_matrix(path):
-    """Read a whitespace separated text matrix of floats."""
+    """Read a whitespace separated text matrix of finite floats."""
     try:
         values = np.loadtxt(path, dtype=float, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"invalid matrix file {path}: {exc}") from exc
     if values.size == 0:
         raise FormatError(f"empty matrix file {path}")
+    if not np.isfinite(values).all():
+        raise FormatError(f"matrix file {path} holds NaN or inf entries")
     return values
 
 

@@ -8,6 +8,7 @@ reproducible across platforms and immune to numpy RNG version drift.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,10 @@ _TWO53 = float(2**53)
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """White noise level as a fraction rho of the data norm, plus a seed."""
+    """White noise level as a fraction rho of the data norm, plus a seed.
+
+    Any integer-like seed (a numpy integer, say) is stored as a Python int.
+    """
 
     rho: float
     seed: int = 0
@@ -31,8 +35,12 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho >= 0):
             raise InvalidParameterError(f"rho must be finite and >= 0, got {self.rho}")
-        if not isinstance(self.seed, int):
-            raise InvalidParameterError("seed must be an int")
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise InvalidParameterError(
+                f"seed must be an int, got {self.seed!r}"
+            ) from None
 
 
 def _mix64(x):

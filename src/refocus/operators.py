@@ -63,18 +63,7 @@ def pad(image, bc, margin):
     if image.ndim < 2:
         raise SizeMismatchError("image must have at least 2 dimensions")
     q1, q2 = int(margin[0]), int(margin[1])
-    n1, n2 = image.shape[-2:]
-    if q1 < 0 or q2 < 0:
-        raise SupportConditionError("margins must be nonnegative")
-    limit1, limit2 = (
-        (n1 - 2, n2 - 2)
-        if bc is BoundaryCondition.ANTIREFLECTIVE
-        else (n1, n2)
-    )
-    if (q1 > 0 and q1 > limit1) or (q2 > 0 and q2 > limit2):
-        raise SupportConditionError(
-            f"margin {(q1, q2)} too wide for image {(n1, n2)} under {bc.value}"
-        )
+    _check_support((q1, q2), image.shape[-2:], bc)
     widths = [(0, 0)] * (image.ndim - 2) + [(q1, q1), (q2, q2)]
     return np.pad(image, widths, **_PAD_MODES[bc])
 
@@ -103,17 +92,7 @@ class BlurOperator:
             BoundaryCondition.ANTIREFLECTIVE,
         ):
             require_strong_symmetry(self.mask)
-        q1, q2 = self.mask.half_support
-        limit1, limit2 = (
-            (n1 - 2, n2 - 2)
-            if self.bc is BoundaryCondition.ANTIREFLECTIVE
-            else (n1, n2)
-        )
-        if (q1 > 0 and q1 > limit1) or (q2 > 0 and q2 > limit2):
-            raise SupportConditionError(
-                f"mask margin {(q1, q2)} too wide for image {(n1, n2)}"
-                f" under {self.bc.value}"
-            )
+        _check_support(self.mask.half_support, self.shape, self.bc)
 
     @property
     def size(self):
@@ -121,23 +100,32 @@ class BlurOperator:
         return self.shape[0] * self.shape[1]
 
 
-def _check_ar_support(mask, shape):
-    """Support condition for the anti-reflective spectral decomposition.
+def _check_support(reach, shape, bc, spectral=False):
+    """The one support rule for padding, operators and spectra.
 
-    Off-center weights must vanish whenever |i_j| >= n_j - 2, otherwise
-    the boundary corrections spill past the sine-algebra interior block
-    and the eigenvalue layout no longer holds.
+    reach[j], a margin or the offset of the farthest nonzero weight on
+    axis j, must be 0 or at most n_j; n_j - 2 under the anti-reflective
+    rule, so every extension sample references pixels that exist; and
+    n_j - 3 for its spectral decomposition (spectral=True), so boundary
+    corrections stay off the sine-algebra interior block.
     """
-    n1, n2 = shape
-    q1, q2 = mask.half_support
-    i1 = np.abs(np.arange(-q1, q1 + 1))[:, None]
-    i2 = np.abs(np.arange(-q2, q2 + 1))[None, :]
-    outside = ((i1 >= n1 - 2) | (i2 >= n2 - 2)) & ((i1 > 0) | (i2 > 0))
-    if (mask.weights[outside] != 0).any():
+    slack = 0
+    if bc is BoundaryCondition.ANTIREFLECTIVE:
+        slack = 3 if spectral else 2
+    reach, shape = tuple(int(q) for q in reach), tuple(shape)
+    if min(reach) < 0:
+        raise SupportConditionError("margins must be nonnegative")
+    if any(q > 0 and q > n - slack for q, n in zip(reach, shape)):
         raise SupportConditionError(
-            "anti-reflective decomposition needs mask support inside"
-            " |i_j| < n_j - 2"
+            f"{'mask support' if spectral else 'margin'} {reach} too wide for"
+            f" size {shape} under the {bc.value} rule"
         )
+
+
+def _support_reach(weights):
+    """Largest |offset| from the center per axis over the nonzero weights."""
+    w = np.asarray(weights)
+    return tuple(np.abs(np.argwhere(w != 0) - np.array(w.shape) // 2).max(axis=0))
 
 
 def _correlate_valid(extended, weights, out_shape):
@@ -212,14 +200,9 @@ def assemble_dense_1d(weights, m, bc):
     if bc in (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTIREFLECTIVE):
         if np.abs(w - w[::-1]).max() > 1e-12 * np.abs(w).max():
             raise SupportConditionError("1-D mask must be symmetric")
+    _check_support((q,), (m,), bc)
     if bc is BoundaryCondition.ANTIREFLECTIVE:
-        idx = np.abs(np.arange(-q, q + 1))
-        if (w[(idx >= m - 2) & (idx > 0)] != 0).any():
-            raise SupportConditionError(
-                "anti-reflective decomposition needs 1-D support inside |i| < m - 2"
-            )
-    if q > 0 and q > (m - 2 if bc is BoundaryCondition.ANTIREFLECTIVE else m):
-        raise SupportConditionError(f"mask margin {q} too wide for length {m}")
+        _check_support(_support_reach(w), (m,), bc, spectral=True)
     padded = np.pad(np.eye(m), ((0, 0), (q, q)), **_PAD_MODES[bc])
     rows = np.zeros((m, m))
     for a in range(w.size):
@@ -267,7 +250,7 @@ def fov_crop(scene, half_support):
     scene = np.asarray(scene, dtype=float)
     q1, q2 = int(half_support[0]), int(half_support[1])
     if scene.shape[-2] <= 2 * q1 or scene.shape[-1] <= 2 * q2:
-        raise SizeMismatchError("scene too small for the requested crop")
+        raise SizeMismatchError(f"scene {scene.shape} too small for margins {(q1, q2)}")
     rows = slice(q1, scene.shape[-2] - q1) if q1 else slice(None)
     cols = slice(q2, scene.shape[-1] - q2) if q2 else slice(None)
     return scene[..., rows, cols]

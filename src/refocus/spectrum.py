@@ -19,11 +19,12 @@ transform and column s2 of the second-axis transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, SizeGuardError, UnsupportedAlgebraError
-from .operators import BlurOperator, BoundaryCondition, apply_blur, _check_ar_support
+from .operators import BoundaryCondition, apply_blur, _check_support, _support_reach
 from .psf import generating_function, generating_function_1d, require_strong_symmetry
 from .transforms import TransformKind, two_level_apply
 
@@ -102,7 +103,8 @@ def eigen_grid_ar(mask, shape):
     if n1 < 3 or n2 < 3:
         raise InvalidParameterError("anti-reflective grid needs n >= 3 per axis")
     require_strong_symmetry(mask)
-    _check_ar_support(mask, (n1, n2))
+    reach = _support_reach(mask.weights)
+    _check_support(reach, (n1, n2), BoundaryCondition.ANTIREFLECTIVE, spectral=True)
     g1 = np.zeros(n1)
     g1[1 : n1 - 1] = np.arange(1, n1 - 1) * np.pi / (n1 - 1)
     g2 = np.zeros(n2)
@@ -112,15 +114,37 @@ def eigen_grid_ar(mask, shape):
     return EigenGrid(values=values, algebra="ar")
 
 
+class _SpectralBasis(NamedTuple):
+    """How one boundary rule diagonalizes its blur operators."""
+
+    eigen_grid: Callable  # (mask, shape) -> EigenGrid
+    analysis: TransformKind
+    analysis_transposed: bool
+    synthesis: TransformKind
+
+
+_BASES = {
+    BoundaryCondition.REFLECTIVE: _SpectralBasis(
+        eigen_grid_reflective, TransformKind.DCT3, True, TransformKind.DCT3
+    ),
+    BoundaryCondition.ANTIREFLECTIVE: _SpectralBasis(
+        eigen_grid_ar, TransformKind.AR_INVERSE, False, TransformKind.AR
+    ),
+}
+
+
+def _basis(bc):
+    try:
+        return _BASES[bc]
+    except KeyError:
+        raise UnsupportedAlgebraError(
+            f"no spectral decomposition for boundary rule {bc.value}"
+        ) from None
+
+
 def eigen_grid_for(op):
     """Eigenvalue grid of a spectrally decomposable operator."""
-    if op.bc is BoundaryCondition.REFLECTIVE:
-        return eigen_grid_reflective(op.mask, op.shape)
-    if op.bc is BoundaryCondition.ANTIREFLECTIVE:
-        return eigen_grid_ar(op.mask, op.shape)
-    raise UnsupportedAlgebraError(
-        f"no spectral decomposition for boundary rule {op.bc.value}"
-    )
+    return _basis(op.bc).eigen_grid(op.mask, op.shape)
 
 
 def eigen_from_first_column(op):
@@ -153,45 +177,31 @@ def spectral_analysis(x, bc):
     the last two axes; for the anti-reflective rule it is the explicit
     inverse of the ramp-bordered transform.
     """
-    if bc is BoundaryCondition.REFLECTIVE:
-        return two_level_apply(x, TransformKind.DCT3, transposed=True)
-    if bc is BoundaryCondition.ANTIREFLECTIVE:
-        return two_level_apply(x, TransformKind.AR_INVERSE)
-    raise UnsupportedAlgebraError(
-        f"no spectral decomposition for boundary rule {bc.value}"
-    )
+    basis = _basis(bc)
+    return two_level_apply(x, basis.analysis, transposed=basis.analysis_transposed)
 
 
 def spectral_synthesis(x, bc):
     """Map spectral coefficients back to an image; inverse of analysis."""
-    if bc is BoundaryCondition.REFLECTIVE:
-        return two_level_apply(x, TransformKind.DCT3)
-    if bc is BoundaryCondition.ANTIREFLECTIVE:
-        return two_level_apply(x, TransformKind.AR)
-    raise UnsupportedAlgebraError(
-        f"no spectral decomposition for boundary rule {bc.value}"
-    )
+    return two_level_apply(x, _basis(bc).synthesis)
 
 
 def synthesis_kind(bc):
     """TransformKind whose columns are the synthesis basis for bc."""
-    if bc is BoundaryCondition.REFLECTIVE:
-        return TransformKind.DCT3
-    if bc is BoundaryCondition.ANTIREFLECTIVE:
-        return TransformKind.AR
-    raise UnsupportedAlgebraError(
-        f"no spectral decomposition for boundary rule {bc.value}"
-    )
+    return _basis(bc).synthesis
 
 
 def sort_spectrum(grid):
     """Flat indices ordered by non-increasing magnitude.
 
-    Ties keep row-major order (stable sort), so the ordering is fully
+    grid is an EigenGrid or a plain array of spectral values, such as
+    the singular value products of a separable operator. Ties keep
+    row-major order (stable sort), so the ordering is fully
     deterministic and truncating after k indices always selects the
     same set as thresholding at the magnitude of the k-th entry.
     """
-    magnitudes = np.abs(np.asarray(grid.values)).ravel()
+    values = grid.values if isinstance(grid, EigenGrid) else grid
+    magnitudes = np.abs(np.asarray(values)).ravel()
     return np.argsort(-magnitudes, kind="stable")
 
 

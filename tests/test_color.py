@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import refocus as r
+from refocus.filtering import sweep
 from refocus.operators import BoundaryCondition as BC
 
 from conftest import rough_image
@@ -53,13 +54,45 @@ def test_color_truncated_sd_inverts_model_data(gauss11, mix_matrix):
 
 
 def test_color_matches_per_channel_under_identity_mixing(gauss11):
-    op = r.BlurOperator(gauss11, BC.REFLECTIVE, (6, 5))
-    f = _color_image((6, 5))
-    g = r.cross_channel_blur(f, r.identity_mixing(), op)
-    color = r.color_truncated_sd(g, r.identity_mixing(), op, r.TruncateByCount(12))
-    for c in range(3):
-        gray = r.truncated_sd_restore(g[c], op, r.TruncateByCount(12))
-        assert np.abs(color.image[c] - gray.image).max() <= 1e-13
+    ident = r.identity_mixing()
+    count = r.TruncateByCount(12)
+    cases = (
+        ("tsd", count, r.color_truncated_sd, r.truncated_sd_restore),
+        ("tsvd", count, r.color_truncated_svd, r.truncated_svd_restore),
+        ("tikhonov", r.Tikhonov(1e-3), r.color_tikhonov, r.tikhonov_restore),
+    )
+    gray_sweeps = {"tsd": r.rre_sweep, "tsvd": r.svd_rre_sweep, "tikhonov": r.mu_sweep}
+    for bc in (BC.REFLECTIVE, BC.ANTIREFLECTIVE):
+        op = r.BlurOperator(gauss11, bc, (6, 5))
+        f = _color_image((6, 5))
+        g = r.cross_channel_blur(f, ident, op)
+        for method, spec, color_fn, gray_fn in cases:
+            color = color_fn(g, ident, op, spec)
+            for c in range(3):
+                gray = gray_fn(g[c], op, spec)
+                assert np.abs(color.image[c] - gray.image).max() <= 1e-13
+            # the color error norm collects the per-channel error norms
+            curve = sweep(g, op, method, f, ident)
+            parts = [gray_sweeps[method](g[c], op, f[c]) for c in range(3)]
+            combined = np.sqrt(
+                sum((p.rres * np.linalg.norm(f[c])) ** 2 for c, p in enumerate(parts))
+            ) / np.linalg.norm(f)
+            assert np.array_equal(curve.params, parts[0].params)
+            assert np.abs(curve.rres - combined).max() <= 1e-12
+
+
+def test_color_mu_sweep_matches_pointwise_restorations(gauss11, mix_matrix):
+    grid = np.logspace(-6, 0, 7)
+    for bc in (BC.REFLECTIVE, BC.ANTIREFLECTIVE):
+        op = r.BlurOperator(gauss11, bc, (7, 6))
+        f = _color_image((7, 6))
+        g = r.cross_channel_blur(f, mix_matrix, op)
+        g, _ = r.add_noise(g, r.NoiseSpec(0.01, 2))
+        curve = sweep(g, op, "tikhonov", f, mix_matrix, mu_grid=grid)
+        assert np.array_equal(curve.params, grid)
+        for mu, err in zip(grid, curve.rres):
+            res = r.color_tikhonov(g, mix_matrix, op, mu)
+            assert abs(err - r.rre(res.image, f)) <= 1e-12
 
 
 def test_color_truncation_keeps_whole_indices(gauss11, mix_matrix):
@@ -116,3 +149,13 @@ def test_color_shape_validation(gauss11, mix_matrix):
         r.color_truncated_sd(np.zeros((5, 5)), mix_matrix, op, r.TruncateByCount(3))
     with pytest.raises(r.SizeMismatchError):
         r.cross_channel_blur(np.zeros((4, 5, 5)), mix_matrix, op)
+
+
+def test_color_data_must_be_finite(gauss11, mix_matrix):
+    op = r.BlurOperator(gauss11, BC.ANTIREFLECTIVE, (5, 5))
+    g = _color_image((5, 5))
+    g[1, 2, 3] = np.inf
+    with pytest.raises(r.InvalidParameterError):
+        r.color_tikhonov(g, mix_matrix, op, 1e-3)
+    with pytest.raises(r.InvalidParameterError):
+        r.cross_channel_blur(g, mix_matrix, op)

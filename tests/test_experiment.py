@@ -258,3 +258,23 @@ def test_cli_experiment(tmp_path):
     assert code == 0
     summary = (out / "summary.csv").read_text()
     assert "2.000000e-02" in summary
+
+
+def test_config_accepts_integer_like_seeds():
+    config = r.ExperimentConfig(scene="sinusoids:8x8", psf="identity", seed=np.int64(3))
+    assert config.seed == 3 and type(config.seed) is int
+    with pytest.raises(r.ConfigError):
+        r.ExperimentConfig(scene="sinusoids:8x8", psf="identity", seed=3.0)
+
+
+def test_cli_rejects_non_finite_matrix(tmp_path, capsys):
+    image = tmp_path / "nan.txt"
+    image.write_text("0.5 0.5 0.5\n0.5 nan 0.5\n0.5 0.5 0.5\n")
+    code = main([
+        "restore", "--image", str(image), "--psf", "identity",
+        "--bc", "reflective", "--method", "tikhonov", "--mu", "0.1",
+        "--out", str(tmp_path / "o.txt"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "o.txt").exists()
+    capsys.readouterr()

@@ -236,3 +236,30 @@ def test_data_shape_checked(gauss11):
     op = r.BlurOperator(gauss11, BC.REFLECTIVE, (5, 5))
     with pytest.raises(r.SizeMismatchError):
         r.truncated_sd_restore(np.ones((4, 5)), op, r.TruncateByCount(3))
+
+
+def test_non_finite_data_rejected_at_entry(gauss11):
+    # one NaN pixel used to spread through the analysis transform into
+    # most of an anti-reflective Tikhonov restoration
+    op, f, g = _model_pair(gauss11, BC.ANTIREFLECTIVE, (16, 16))
+    bad = g.copy()
+    bad[7, 9] = np.nan
+    with pytest.raises(r.InvalidParameterError):
+        r.tikhonov_restore(bad, op, 1e-3)
+    bad[7, 9] = -np.inf
+    with pytest.raises(r.InvalidParameterError):
+        r.truncated_sd_restore(bad, op, r.TruncateByCount(10))
+    with pytest.raises(r.InvalidParameterError):
+        r.mu_sweep(bad, op, f)
+
+
+def test_non_finite_sweep_reference_rejected(gauss11):
+    op, f, g = _model_pair(gauss11, BC.REFLECTIVE, (6, 6))
+    bad = f.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(r.InvalidParameterError):
+        r.rre_sweep(g, op, bad)
+    with pytest.raises(r.InvalidParameterError):
+        r.mu_sweep(g, op, bad)
+    with pytest.raises(r.SizeMismatchError):
+        r.mu_sweep(g, op, f[:5])

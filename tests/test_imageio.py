@@ -122,3 +122,21 @@ def test_matrix_errors(tmp_path):
         r.read_matrix(path)
     with pytest.raises(r.InvalidParameterError):
         r.write_matrix(path, np.zeros((2, 2, 2)))
+
+
+def test_read_matrix_rejects_non_finite(tmp_path):
+    for token in ("nan", "inf", "-inf"):
+        path = tmp_path / f"{token}.txt"
+        path.write_text(f"0.5 0.25\n{token} 1.0\n")
+        with pytest.raises(r.FormatError):
+            r.read_matrix(path)
+
+
+def test_write_image_rejects_non_finite_before_writing(tmp_path):
+    for value in (np.nan, np.inf):
+        image = np.full((3, 4), 0.5)
+        image[1, 2] = value
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(r.InvalidParameterError):
+            r.write_image(path, image)
+        assert not path.exists()

@@ -100,3 +100,13 @@ def test_save_picard_csv(tmp_path):
     assert lines[0] == "abs_value,abs_coef"
     assert lines[1] == "1,2"
     assert [float(x) for x in lines[2].split(",")] == [0.5, 0.25]
+
+
+def test_noise_spec_accepts_integer_like_seeds():
+    spec = r.NoiseSpec(0.1, np.int64(3))
+    assert spec.seed == 3 and type(spec.seed) is int
+    g = np.ones((4, 5))
+    expected, _ = r.add_noise(g, r.NoiseSpec(0.1, 3))
+    assert np.array_equal(r.add_noise(g, spec)[0], expected)
+    with pytest.raises(r.InvalidParameterError):
+        r.NoiseSpec(0.1, 3.0)
