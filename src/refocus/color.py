@@ -56,7 +56,7 @@ def cross_channel_blur(image, mixing, op):
     Equivalent to applying the Kronecker product of the mixing matrix
     and the spatial operator to the channel-stacked image vector.
     """
-    image = _check_data(image, op, mixing)
+    image = _check_data(image, op, True)
     return _mix(mixing.matrix, apply_blur(op, image))
 
 

@@ -18,16 +18,26 @@ data alike: gray is one (n1, n2) channel with no mixing step, color is
 a (3, n1, n2) stack whose channel coefficients are unmixed by the 3x3
 mixing matrix M (see color.py). The per-filter functions here and in
 color.py are thin wrappers over that core.
+
+Sweeps never synthesize an image. The error of a restoration is the
+norm of its coefficient difference from the reference's coefficients,
+weighted by the Gram matrix S^T S of the synthesis basis per axis. That
+matrix is the identity for the cosine and singular bases and the
+identity plus a term on the two border rows and columns for the
+ramp-bordered basis. So a whole truncation curve costs one spectrum sort
+plus O(N) work, and each Tikhonov weight on a mu grid costs O(N).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularMixingError, SizeMismatchError
+from .imageio import _write_csv
 from .operators import assemble_dense_1d
 from .psf import separable_factors
 from .spectrum import (
@@ -35,9 +45,8 @@ from .spectrum import (
     sort_spectrum,
     spectral_analysis,
     spectral_synthesis,
-    synthesis_kind,
+    synthesis_gram,
 )
-from .transforms import dense_transform
 
 # Spectral values smaller than this are treated as exact zeros and never
 # inverted; count-based truncation skips them and reports how many.
@@ -131,10 +140,10 @@ class SweepCurve:
         return float(self.rres[self.best_index])
 
 
-def _check_data(x, op, mixing, what="data"):
+def _check_data(x, op, color, what="data"):
     """The one entry check: (n1, n2) gray or (3, n1, n2) color, finite."""
     x = np.asarray(x, dtype=float)
-    expected = op.shape if mixing is None else (3,) + op.shape
+    expected = (3,) + op.shape if color else op.shape
     if x.shape != expected:
         raise SizeMismatchError(f"{what} shape {x.shape} does not match {expected}")
     if not np.isfinite(x).all():
@@ -211,18 +220,18 @@ def _signed_svd(matrix):
 
 
 def _filter_basis(op, method):
-    """(spectrum, analysis, synthesis, dense) of a method's spatial basis.
+    """(spectrum, analysis, synthesis, coordinates) of a method's basis.
 
     The maps act on the last two axes, so channel stacks pass through;
-    dense() gives the per-axis synthesis matrices of the basis images.
+    coordinates() gives an image's coefficients in the synthesis basis.
     """
     if method in ("tsd", "tikhonov"):
-        kind = synthesis_kind(op.bc)
+        analysis = lambda x: spectral_analysis(x, op.bc)
         return (
             eigen_grid_for(op).values,
-            lambda x: spectral_analysis(x, op.bc),
+            analysis,
             lambda x: spectral_synthesis(x, op.bc),
-            lambda: [dense_transform(kind, n) for n in op.shape],
+            analysis,
         )
     if method == "tsvd":
         (u1, s1, v1t), (u2, s2, v2t) = (
@@ -233,7 +242,7 @@ def _filter_basis(op, method):
             np.multiply.outer(s1, s2),
             lambda x: u1.T @ x @ u2,
             lambda x: v1t.T @ x @ v2t,
-            lambda: (v1t.T, v2t.T),
+            lambda x: v1t @ x @ v2t.T,
         )
     raise InvalidParameterError(f"unknown method {method!r}, expected {METHODS}")
 
@@ -248,8 +257,8 @@ def restore(g, op, method, spec, mixing=None):
     """
     if isinstance(spec, Tikhonov) != (method == "tikhonov"):
         raise InvalidParameterError(f"method {method!r} cannot use {spec!r}")
-    g = _check_data(g, op, mixing)
-    lam, analysis, synthesis, _dense = _filter_basis(op, method)
+    g = _check_data(g, op, mixing is not None)
+    lam, analysis, synthesis, _coordinates = _filter_basis(op, method)
     if method == "tikhonov":
         fhat = _tikhonov(analysis(g), lam, mixing)(spec.mu)
         parameter, kept, skipped = spec.mu, lam.size, 0
@@ -313,65 +322,210 @@ def truncated_svd_restore(g, op, spec):
     return restore(g, op, "tsvd", spec)
 
 
-def _incremental_sweep(coef, denom, basis1, basis2, f_true, true_norm, max_terms,
-                       method):
-    """Grow a truncated expansion one term at a time, recording the RRE.
+def _check_max_terms(max_terms):
+    """None, or an integer-like count of at least 1, as a Python int."""
+    if max_terms is None:
+        return None
+    try:
+        count = operator.index(max_terms)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise InvalidParameterError(
+            f"max_terms must be None or an int >= 1, got {max_terms!r}"
+        )
+    return count
 
-    Each step adds coefficient coef[idx]/denom[idx] times the rank-one
-    basis image, then measures the relative restoration error, so a full
-    sweep costs a handful of passes over the image per term. coef and
-    f_true may carry a leading channel axis.
+
+# Border rows/columns 0 and m-1 of one axis, as slices so indexing keeps
+# the axis and channel stacks broadcast.
+_BORDERS = (slice(0, 1), slice(-1, None))
+_ALL = slice(None)
+
+
+def _border_vectors(op, method):
+    """Per axis, the Gram matrix S^T S of a method's synthesis basis.
+
+    Each entry is None where the basis is orthonormal, else the (m, 2)
+    vectors c_b with S^T S = I + sum_b (e_b c_b^T + c_b e_b^T) over the
+    border indices b = 0, m-1: the columns E[:, 0] and E[:, m-1] of
+    spectrum.synthesis_gram, each with half of the corner entry E[0, m-1]
+    that the two share.
     """
-    magnitudes = np.abs(denom).ravel()
-    order = sort_spectrum(denom)
-    usable = order[magnitudes[order] >= ZERO_SPECTRUM_TOL]
-    total = usable.size if max_terms is None else min(usable.size, int(max_terms))
-    n2 = denom.shape[1]
-    current = np.zeros_like(f_true)
-    rres = np.empty(total)
-    coef_flat = coef.reshape(f_true.shape[:-2] + (-1,))
-    denom_flat = denom.ravel()
-    for step in range(total):
-        idx = usable[step]
-        k1, k2 = divmod(int(idx), n2)
-        weight = coef_flat[..., idx] / denom_flat[idx]
-        current += np.multiply.outer(weight, np.outer(basis1[:, k1], basis2[:, k2]))
-        rres[step] = np.linalg.norm(current - f_true) / true_norm
-    return SweepCurve(
-        params=np.arange(1, total + 1), rres=rres, method=method
-    )
+    if method == "tsvd":
+        return (None, None)
+    borders = []
+    for cols in synthesis_gram(op.bc, op.shape):
+        if cols is not None:
+            cols = cols.copy()
+            cols[-1, 0] *= 0.5
+            cols[0, 1] *= 0.5
+        borders.append(cols)
+    return tuple(borders)
+
+
+def _gram_pairs(borders):
+    """The terms w * D[x] * D[y] of the quadratic form sum <D, G1 D G2>.
+
+    G1 and G2 are the per-axis synthesis Gram matrices I + E given by
+    _border_vectors. Expanding <D, D + E1 D + D E2 + E1 D E2> with
+    E = sum_b (e_b c_b^T + c_b e_b^T) leaves O(N) entry pairs: each
+    entry with itself (the plain sum of squares, not yielded here), each
+    border entry with its row or column, each corner with the whole
+    grid, and each border row with each border column. Yields
+    (ix, iy, w): index tuples for the two spatial axes that select
+    broadcastable x and y entries, and the broadcastable weight of each
+    pair.
+    """
+    c1, c2 = borders
+    full = (_ALL, _ALL)
+    if c1 is not None:
+        for k, b in enumerate(_BORDERS):
+            yield (b, _ALL), full, 2.0 * c1[:, k, None]
+    if c2 is not None:
+        for k, d in enumerate(_BORDERS):
+            yield (_ALL, d), full, 2.0 * c2[:, k]
+    if c1 is not None and c2 is not None:
+        for k, b in enumerate(_BORDERS):
+            for l, d in enumerate(_BORDERS):
+                w = 2.0 * np.multiply.outer(c1[:, k], c2[:, l])
+                yield (b, d), full, w
+                yield (_ALL, d), (b, _ALL), w
+
+
+def _gram_norm_sq(y, borders):
+    """sum over channels of <Y, G1 Y G2>: the squared norm of S1 Y S2^T.
+
+    The same form as _gram_pairs, contracted with a few thin products,
+    so it costs O(N) per call with no transform.
+    """
+    y = y.reshape((-1,) + y.shape[-2:])
+    total = np.vdot(y, y)
+    c1, c2 = borders
+    ends = [0, -1]
+    if c1 is not None:
+        u1 = c1.T @ y
+        total += 2.0 * np.vdot(y[:, ends, :], u1)
+    if c2 is not None:
+        v2 = y @ c2
+        total += 2.0 * np.vdot(y[:, :, ends], v2)
+    if c1 is not None and c2 is not None:
+        total += 2.0 * (
+            np.vdot(y[:, ends][:, :, ends], u1 @ c2)
+            + np.vdot(u1[:, :, ends], v2[:, ends, :])
+        )
+    return total
+
+
+def _channel_dot(a, b):
+    """Sum of a * b over the leading channel axis; the rest broadcasts."""
+    out = a[0] * b[0]
+    for c in range(1, a.shape[0]):
+        out += a[c] * b[c]
+    return out
+
+
+def _spectral_rank(lam):
+    """Each index's position in spectral order, and the usable count.
+
+    Indices whose spectral value is below ZERO_SPECTRUM_TOL are never
+    kept; their rank is the usable count itself.
+    """
+    order = sort_spectrum(lam)
+    usable = order[np.abs(lam).ravel()[order] >= ZERO_SPECTRUM_TOL]
+    rank = np.full(lam.size, usable.size)
+    rank[usable] = np.arange(usable.size)
+    return rank.reshape(lam.shape), usable.size
+
+
+def _truncation_errors(coef, lam, target, borders, max_terms):
+    """Squared errors after keeping k = 1..K usable indices in spectral order.
+
+    With w = coef/lam the filtered coefficients and t the reference's
+    coefficients, the error after k terms is the Gram form of
+    D_k = P_k + S_k: P_k holds the residuals w - t of the kept indices,
+    S_k holds -t on the indices not yet kept. Each pair term of the form
+    (_gram_pairs) is then a step function of k: its P.P part switches on
+    once both entries are kept, its S.S part is on until either is, and
+    its P.S part is on in between. So each pair drops a few weighted
+    events on the step axis; the P.P and P.S parts accumulate forward
+    and the S.S parts backward, so no sum cancels down to a noiseless
+    tail.
+    """
+    rank, size = _spectral_rank(lam)
+    total = size if max_terms is None else min(size, max_terms)
+    target = target.reshape((-1,) + lam.shape)
+    resid = np.zeros_like(target)
+    np.divide(coef.reshape(target.shape), lam, out=resid, where=rank < size)
+    resid -= target
+    # each entry with itself: kept from step rank + 1 on, else unkept
+    flat_rank = rank.ravel()
+    forward = np.bincount(flat_rank + 1, _channel_dot(resid, resid).ravel(), size + 2)
+    backward = np.bincount(flat_rank, _channel_dot(target, target).ravel(), size + 2)
+    for ix, iy, w in _gram_pairs(borders):
+        rank_x, rank_y = rank[ix], rank[iy]
+        px, tx = resid[(_ALL,) + ix], target[(_ALL,) + ix]
+        py, ty = resid[(_ALL,) + iy], target[(_ALL,) + iy]
+        lo = np.minimum(rank_x, rank_y).ravel()
+        hi = np.maximum(rank_x, rank_y).ravel()
+        both_kept = (w * _channel_dot(px, py)).ravel()
+        one_kept = -w * np.where(
+            rank_x < rank_y, _channel_dot(px, ty), _channel_dot(py, tx)
+        )
+        one_kept = one_kept.ravel()
+        forward += np.bincount(hi + 1, both_kept - one_kept, size + 2)
+        forward += np.bincount(lo + 1, one_kept, size + 2)
+        backward += np.bincount(lo, (w * _channel_dot(tx, ty)).ravel(), size + 2)
+    err_sq = np.cumsum(forward) + np.cumsum(backward[::-1])[::-1]
+    return err_sq[1 : total + 1]
 
 
 def sweep(g, op, method, f_true, mixing=None, max_terms=None, mu_grid=None):
     """Restoration error over a parameter range; the core of every sweep.
 
     Arguments as in restore; f_true is the reference, shaped like g. The
-    data is analyzed once per curve. The truncation methods add one index
-    at a time in spectral order, up to max_terms; tikhonov runs over
+    truncation methods add one index at a time in spectral order, up to
+    max_terms (None for all; else an int >= 1); tikhonov runs over
     mu_grid (default_mu_grid() when None). Returns a SweepCurve.
+
+    No curve point is synthesized. The data and the reference are each
+    analyzed once; every error is the norm of a coefficient difference,
+    weighted by the Gram matrix of the synthesis basis: the identity for
+    the cosine and singular bases, the identity plus a rank-4 term on
+    the border rows and columns for the ramp-bordered one. A whole
+    truncation curve costs one sort and O(N) more work, for any N (no
+    dense basis matrix is formed); each mu costs O(N).
     """
-    g = _check_data(g, op, mixing)
-    f_true = _check_data(f_true, op, mixing, "reference")
+    color = mixing is not None
+    g = _check_data(g, op, color)
+    f_true = _check_data(f_true, op, color, "reference")
     true_norm = np.linalg.norm(f_true)
     if not true_norm > 0:
         raise InvalidParameterError("reference image must be nonzero")
+    max_terms = _check_max_terms(max_terms)
     if method == "tikhonov":
         mu_grid = _check_mu_grid(mu_grid)
-    lam, analysis, synthesis, dense = _filter_basis(op, method)
+    lam, analysis, _synthesis, coordinates = _filter_basis(op, method)
+    borders = _border_vectors(op, method)
     coef = analysis(g)
-    if method != "tikhonov":
-        return _incremental_sweep(
-            _unmix(coef, mixing), lam, *dense(), f_true, true_norm, max_terms, method
-        )
-    damped = _tikhonov(coef, lam, mixing)
-    rres = np.empty(mu_grid.size)
-    for i, mu in enumerate(mu_grid):
-        rres[i] = np.linalg.norm(synthesis(damped(mu)) - f_true) / true_norm
-    return SweepCurve(params=mu_grid, rres=rres, method=method)
+    target = coordinates(f_true)
+    if method == "tikhonov":
+        damped = _tikhonov(coef, lam, mixing)
+        params = mu_grid
+        err_sq = np.array([_gram_norm_sq(damped(mu) - target, borders) for mu in mu_grid])
+    else:
+        err_sq = _truncation_errors(_unmix(coef, mixing), lam, target, borders, max_terms)
+        params = np.arange(1, err_sq.size + 1)
+    rres = np.sqrt(np.maximum(err_sq, 0.0)) / true_norm
+    return SweepCurve(params=params, rres=rres, method=method)
 
 
 def rre_sweep(g, op, f_true, max_terms=None):
     """Restoration error of truncated inversion for every count k.
+
+    The whole curve comes from the data and reference coefficients
+    alone (see sweep): one sort of the spectrum and O(N) more work.
+    max_terms caps K; it is None or an int >= 1.
 
     Returns
     -------
@@ -409,14 +563,12 @@ def mu_sweep(g, op, f_true, mu_grid=None):
     """Restoration error of Tikhonov damping over a grid of weights.
 
     The analysis coefficients and the eigenvalue grid are computed once
-    and reused across the whole grid.
+    and reused across the whole grid. Each weight then costs O(N) in
+    coefficient space (see sweep), with no synthesis.
     """
     return sweep(g, op, "tikhonov", f_true, mu_grid=mu_grid)
 
 
 def save_curve_csv(curve, path):
     """Write a sweep curve as 'param,rre' lines at full precision."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("param,rre\n")
-        for p, r in zip(curve.params, curve.rres):
-            fh.write(f"{format(p, '.17g')},{format(r, '.17g')}\n")
+    _write_csv(path, "param,rre", curve.params, curve.rres)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SizeMismatchError
+from .filtering import _check_data
+from .imageio import _write_csv
 from .spectrum import eigen_grid_for, sort_spectrum, spectral_analysis
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -157,6 +159,8 @@ def picard_data(g, op):
     g : ndarray
         Observed image, either (n1, n2) or (3, n1, n2); for color
         images the coefficient magnitude is the norm over channels.
+        Checked at entry like filter data: a wrong shape raises
+        SizeMismatchError, NaN or inf raises InvalidParameterError.
     op : BlurOperator
         Operator whose eigenbasis is used.
 
@@ -167,9 +171,7 @@ def picard_data(g, op):
     coefficients : ndarray
         Matching |coefficient| values.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape[-2:] != op.shape:
-        raise SizeMismatchError(f"data {g.shape} does not match operator {op.shape}")
+    g = _check_data(g, op, np.ndim(g) == 3)
     grid = eigen_grid_for(op)
     order = sort_spectrum(grid)
     ghat = spectral_analysis(g, op.bc)
@@ -186,7 +188,4 @@ def save_picard_csv(path, magnitudes, coefficients):
     coefficients = np.asarray(coefficients, dtype=float)
     if magnitudes.shape != coefficients.shape or magnitudes.ndim != 1:
         raise SizeMismatchError("magnitudes and coefficients must be equal-length 1-D")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("abs_value,abs_coef\n")
-        for m, c in zip(magnitudes, coefficients):
-            fh.write(f"{m:.17g},{c:.17g}\n")
+    _write_csv(path, "abs_value,abs_coef", magnitudes, coefficients)

@@ -24,9 +24,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, SizeGuardError, UnsupportedAlgebraError
+from .imageio import _write_csv
 from .operators import BoundaryCondition, apply_blur, _check_support, _support_reach
 from .psf import generating_function, generating_function_1d, require_strong_symmetry
-from .transforms import TransformKind, two_level_apply
+from .transforms import TransformKind, ramp_gram, two_level_apply
 
 _ORACLE_LIMIT = 20000
 
@@ -121,14 +122,15 @@ class _SpectralBasis(NamedTuple):
     analysis: TransformKind
     analysis_transposed: bool
     synthesis: TransformKind
+    gram: Callable | None  # m -> (m, 2) off-identity Gram columns; None if orthonormal
 
 
 _BASES = {
     BoundaryCondition.REFLECTIVE: _SpectralBasis(
-        eigen_grid_reflective, TransformKind.DCT3, True, TransformKind.DCT3
+        eigen_grid_reflective, TransformKind.DCT3, True, TransformKind.DCT3, None
     ),
     BoundaryCondition.ANTIREFLECTIVE: _SpectralBasis(
-        eigen_grid_ar, TransformKind.AR_INVERSE, False, TransformKind.AR
+        eigen_grid_ar, TransformKind.AR_INVERSE, False, TransformKind.AR, ramp_gram
     ),
 }
 
@@ -191,6 +193,17 @@ def synthesis_kind(bc):
     return _basis(bc).synthesis
 
 
+def synthesis_gram(bc, shape):
+    """Per-axis off-identity parts of the synthesis Gram matrices S^T S.
+
+    One entry per axis of shape: None where the basis is orthonormal
+    (reflective), else the (m, 2) columns [E[:, 0], E[:, m-1]] of the
+    border-supported E = S^T S - I (anti-reflective, see ramp_gram).
+    """
+    gram = _basis(bc).gram
+    return tuple(None if gram is None else gram(n) for n in shape)
+
+
 def sort_spectrum(grid):
     """Flat indices ordered by non-increasing magnitude.
 
@@ -207,10 +220,7 @@ def sort_spectrum(grid):
 
 def save_eigen_csv(grid, path):
     """Write grid values row-major, one full-precision value per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("value\n")
-        for v in np.asarray(grid.values).ravel():
-            fh.write(format(v, ".17g") + "\n")
+    _write_csv(path, "value", np.asarray(grid.values).ravel())
 
 
 def _check_shape(shape):

@@ -77,6 +77,23 @@ def ramp_vector(m):
     return RampVector(m=m, p=p, alpha=alpha)
 
 
+def ramp_gram(m):
+    """Off-identity columns of the ramp-bordered basis Gram matrix.
+
+    With S = dense_transform(AR, m), S^T S = I + E, where E is symmetric
+    and vanishes outside rows and columns 0 and m-1: the interior sine
+    columns are orthonormal and the two ramp columns have unit length.
+    Returns the (m, 2) array [E[:, 0], E[:, m-1]], computed in
+    O(m log m): E[:, 0] = [0, DST-I(p)/alpha, p.p~/alpha^2], and E[:, m-1]
+    is the same with the ramp p reversed into p~.
+    """
+    rv = ramp_vector(m)
+    cols = np.zeros((m, 2))
+    cols[1:-1] = dst1_apply(np.stack([rv.p, rv.p[::-1]], axis=1), axis=0) / rv.alpha
+    cols[-1, 0] = cols[0, 1] = math.fsum(rv.p * rv.p[::-1]) / rv.alpha**2
+    return cols
+
+
 class _SinePlan:
     """Bluestein evaluation of the orthonormal type-I sine transform.
 

@@ -206,6 +206,21 @@ def test_cli_blur_restore_sweep(tmp_path):
     assert curve.read_text().startswith("param,rre\n")
 
 
+def test_cli_sweep_rejects_bad_max_terms(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    curve = tmp_path / "curve.csv"
+    r.write_matrix(truth, r.low_frequency_scene((8, 8)))
+    for bad in ("0", "-3"):
+        code = main([
+            "sweep", "--image", str(truth), "--reference", str(truth),
+            "--psf", "gaussian:1:0.9", "--bc", "reflective",
+            "--method", "tsd", "--out", str(curve), "--max-terms", bad,
+        ])
+        assert code == 2
+        assert not curve.exists()
+    assert "max_terms" in capsys.readouterr().err
+
+
 def test_cli_blur_matches_api(tmp_path):
     truth = tmp_path / "truth.txt"
     blurred = tmp_path / "blurred.txt"

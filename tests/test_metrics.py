@@ -93,6 +93,21 @@ def test_picard_data_color(gauss11, mix_matrix):
     assert np.all(coef >= 0)
 
 
+def test_picard_data_checks_entry(gauss11):
+    # one NaN pixel used to turn every returned coefficient into NaN
+    op = r.BlurOperator(gauss11, BC.REFLECTIVE, (8, 8))
+    g = r.apply_blur(op, rough_image((8, 8)))
+    g[3, 4] = np.nan
+    with pytest.raises(r.InvalidParameterError):
+        r.picard_data(g, op)
+    with pytest.raises(r.InvalidParameterError):
+        r.picard_data(np.full((3, 8, 8), np.inf), op)
+    with pytest.raises(r.SizeMismatchError):
+        r.picard_data(np.ones((8, 7)), op)
+    with pytest.raises(r.SizeMismatchError):
+        r.picard_data(np.ones((2, 8, 8)), op)
+
+
 def test_save_picard_csv(tmp_path):
     path = tmp_path / "picard.csv"
     r.save_picard_csv(path, np.array([1.0, 0.5]), np.array([2.0, 0.25]))
