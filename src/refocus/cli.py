@@ -10,60 +10,46 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .color import cross_channel_blur, identity_mixing
+from .color import cross_channel_blur
 from .errors import ConfigError
-from .experiment import load_config, parse_mix_spec, parse_psf_spec, run_experiment
+from .experiment import (
+    format_optimum,
+    load_config,
+    parse_mix_spec,
+    parse_psf_spec,
+    read_by_suffix,
+    resolve_mixing,
+    run_experiment,
+    write_by_suffix,
+)
 from .filtering import (
+    DEFAULT_MU_RANGE,
     METHODS,
     Tikhonov,
     TruncateByCount,
     TruncateByThreshold,
+    log_mu_grid,
     restore,
     save_curve_csv,
     sweep,
 )
-from .imageio import read_image, read_matrix, write_image, write_matrix
+from .imageio import _MAXVALS
 from .metrics import NoiseSpec, add_noise
 from .operators import BlurOperator, BoundaryCondition, apply_blur
 
 _BC_NAMES = tuple(bc.value for bc in BoundaryCondition)
-_IMAGE_SUFFIXES = (".pgm", ".ppm")
-
-
-def _load_image(path):
-    suffix = Path(path).suffix.lower()
-    if suffix in _IMAGE_SUFFIXES:
-        return read_image(path)
-    if suffix == ".txt":
-        return read_matrix(path)
-    raise ConfigError(f"unsupported image file type {suffix!r} for {path}")
-
-
-def _save_image(path, image, maxval):
-    suffix = Path(path).suffix.lower()
-    if suffix in _IMAGE_SUFFIXES:
-        write_image(path, image, maxval)
-    elif suffix == ".txt":
-        write_matrix(path, image)
-    else:
-        raise ConfigError(f"unsupported output file type {suffix!r} for {path}")
 
 
 def _prepare(args):
     """Shared setup: load the image, build the operator and the mixing."""
-    image = _load_image(args.image)
+    image = read_by_suffix(args.image)
     mask = parse_psf_spec(args.psf)
     op = BlurOperator(mask, BoundaryCondition(args.bc), image.shape[-2:])
-    mixing = None if args.mix is None else parse_mix_spec(args.mix)
-    if image.ndim == 3 and mixing is None:
-        mixing = identity_mixing()
-    if image.ndim == 2 and mixing is not None:
-        raise ConfigError("--mix was given but the image is grayscale")
-    return image, op, mixing
+    mix = None if args.mix is None else parse_mix_spec(args.mix)
+    return image, op, resolve_mixing(image, mix)
 
 
 def _cmd_blur(args):
@@ -74,7 +60,7 @@ def _cmd_blur(args):
         blurred = apply_blur(op, image)
     if args.rho > 0:
         blurred, _snr = add_noise(blurred, NoiseSpec(args.rho, args.seed))
-    _save_image(args.out, blurred, args.maxval)
+    write_by_suffix(args.out, blurred, args.maxval)
     print(f"wrote {args.out}")
     return 0
 
@@ -99,7 +85,7 @@ def _filter_spec(args):
 def _cmd_restore(args):
     image, op, mixing = _prepare(args)
     result = restore(image, op, args.method, _filter_spec(args), mixing)
-    _save_image(args.out, result.image, args.maxval)
+    write_by_suffix(args.out, result.image, args.maxval)
     print(
         f"wrote {args.out} method={result.method} parameter={result.parameter:g} "
         f"kept={result.count_kept} skipped_zero={result.skipped_zero}"
@@ -109,17 +95,16 @@ def _cmd_restore(args):
 
 def _cmd_sweep(args):
     image, op, mixing = _prepare(args)
-    reference = _load_image(args.reference)
+    reference = read_by_suffix(args.reference)
     grid = None
     if args.method == "tikhonov":
-        grid = np.logspace(np.log10(args.mu_lo), np.log10(args.mu_hi), args.mu_count)
+        grid = log_mu_grid(args.mu_lo, args.mu_hi, args.mu_count)
     curve = sweep(image, op, args.method, reference, mixing, args.max_terms, grid)
     save_curve_csv(curve, args.out)
-    if args.method == "tikhonov":
-        best = f"{curve.best_param:.6e}"
-    else:
-        best = str(int(curve.best_param))
-    print(f"wrote {args.out} best_param={best} best_rre={curve.best_rre:.6e}")
+    print(
+        f"wrote {args.out} best_param={format_optimum(curve)} "
+        f"best_rre={curve.best_rre:.6e}"
+    )
     return 0
 
 
@@ -158,7 +143,7 @@ def _build_parser():
     blur.add_argument("--rho", type=float, default=0.0,
                       help="relative noise level (default 0)")
     blur.add_argument("--seed", type=int, default=0, help="noise seed")
-    blur.add_argument("--maxval", type=int, default=255, choices=(255, 65535))
+    blur.add_argument("--maxval", type=int, default=255, choices=_MAXVALS)
     blur.set_defaults(func=_cmd_blur)
 
     restore = sub.add_parser("restore", help="restore with one filter setting")
@@ -169,7 +154,7 @@ def _build_parser():
                          help="keep coefficients with spectral magnitude >= delta")
     restore.add_argument("--mu", type=float, default=None,
                          help="Tikhonov regularization weight")
-    restore.add_argument("--maxval", type=int, default=255, choices=(255, 65535))
+    restore.add_argument("--maxval", type=int, default=255, choices=_MAXVALS)
     restore.set_defaults(func=_cmd_restore)
 
     sweep = sub.add_parser("sweep", help="error curve against a reference image")
@@ -178,9 +163,9 @@ def _build_parser():
                        help="ground truth image the error is measured against")
     sweep.add_argument("--max-terms", type=int, default=None,
                        help="cap the number of truncation steps")
-    sweep.add_argument("--mu-lo", type=float, default=1e-8)
-    sweep.add_argument("--mu-hi", type=float, default=1.0)
-    sweep.add_argument("--mu-count", type=int, default=40)
+    sweep.add_argument("--mu-lo", type=float, default=DEFAULT_MU_RANGE[0])
+    sweep.add_argument("--mu-hi", type=float, default=DEFAULT_MU_RANGE[1])
+    sweep.add_argument("--mu-count", type=int, default=DEFAULT_MU_RANGE[2])
     sweep.set_defaults(func=_cmd_sweep)
 
     experiment = sub.add_parser("experiment", help="run a config-driven experiment")
@@ -196,10 +181,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -20,15 +20,18 @@ import numpy as np
 from .color import ColorMixing, identity_mixing
 from .errors import ConfigError, SizeMismatchError
 from .filtering import (
+    DEFAULT_MU_RANGE,
     METHODS,
     Tikhonov,
     TruncateByCount,
+    _check_max_terms,
     _mix,
+    log_mu_grid,
     restore,
     save_curve_csv,
     sweep,
 )
-from .imageio import read_image, read_matrix, write_image
+from .imageio import _MAXVALS, read_image, read_matrix, write_image, write_matrix
 from .metrics import NoiseSpec, add_noise, picard_data, save_picard_csv
 from .operators import BlurOperator, BoundaryCondition, blur_oversized_scene, fov_crop
 from .psf import (
@@ -39,25 +42,6 @@ from .psf import (
     separable_factors,
 )
 from .spectrum import eigen_grid_for
-
-_MAXVALS = (255, 65535)
-_KNOWN_KEYS = frozenset(
-    {
-        "scene",
-        "psf",
-        "bc",
-        "method",
-        "rho",
-        "seed",
-        "out",
-        "mix",
-        "mu_lo",
-        "mu_hi",
-        "mu_count",
-        "max_terms",
-        "maxval",
-    }
-)
 
 
 def low_frequency_scene(shape):
@@ -110,9 +94,9 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "results"
     mix: ColorMixing | None = None
-    mu_lo: float = 1e-8
-    mu_hi: float = 1.0
-    mu_count: int = 40
+    mu_lo: float = DEFAULT_MU_RANGE[0]
+    mu_hi: float = DEFAULT_MU_RANGE[1]
+    mu_count: int = DEFAULT_MU_RANGE[2]
     max_terms: int | None = None
     maxval: int = 255
 
@@ -140,30 +124,22 @@ class ExperimentConfig:
         for rho in self.rhos:
             if not (np.isfinite(rho) and rho >= 0):
                 raise ConfigError(f"rho must be finite and >= 0, got {rho}")
+        for name in ("seed", "mu_count"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an int, got {value!r}") from None
         try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ConfigError(f"seed must be an int, got {self.seed!r}") from None
-        if not (self.mu_lo > 0 and self.mu_hi > self.mu_lo):
-            raise ConfigError("mu range must satisfy 0 < mu_lo < mu_hi")
-        if self.mu_count < 1:
-            raise ConfigError("mu_count must be >= 1")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ConfigError("max_terms must be >= 1")
+            self.mu_grid()
+            object.__setattr__(self, "max_terms", _check_max_terms(self.max_terms))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         if self.maxval not in _MAXVALS:
             raise ConfigError(f"maxval must be one of {_MAXVALS}")
 
     def mu_grid(self):
-        return np.logspace(
-            np.log10(self.mu_lo), np.log10(self.mu_hi), self.mu_count
-        )
-
-
-def _parse_tokens(value):
-    tokens = [tok.strip() for tok in value.split(",")]
-    if any(not tok for tok in tokens):
-        raise ConfigError(f"empty item in list {value!r}")
-    return tokens
+        return log_mu_grid(self.mu_lo, self.mu_hi, self.mu_count)
 
 
 def _parse_int(value, what):
@@ -188,6 +164,62 @@ def _parse_pair(value, what, cast):
     if len(parts) == 2:
         return cast(parts[0], what), cast(parts[1], what)
     raise ConfigError(f"{what} must be one or two comma separated values")
+
+
+def _parse_bc(token, what):
+    try:
+        return BoundaryCondition(token)
+    except ValueError as exc:
+        names = ", ".join(bc.value for bc in BoundaryCondition)
+        raise ConfigError(
+            f"unknown boundary rule {token!r}, expected one of {names}"
+        ) from exc
+
+
+def _text(value, what):
+    return value
+
+
+def _each(parse):
+    """A parser of comma separated lists whose items each go through parse."""
+
+    def parse_list(value, what):
+        tokens = [tok.strip() for tok in value.split(",")]
+        if any(not tok for tok in tokens):
+            raise ConfigError(f"empty item in list {value!r}")
+        return tuple(parse(tok, what) for tok in tokens)
+
+    return parse_list
+
+
+def parse_mix_spec(spec):
+    """Build a ColorMixing from 9 comma separated row-major entries."""
+    entries = _each(_parse_float)(spec, "mix entry")
+    if len(entries) != 9:
+        raise ConfigError("mix must hold 9 comma separated row-major entries")
+    try:
+        return ColorMixing(np.array(entries).reshape(3, 3))
+    except ValueError as exc:
+        raise ConfigError(f"invalid mixing matrix: {exc}") from exc
+
+
+# Each config key, in parse order: the ExperimentConfig field it sets and
+# its parser, called as parser(value, key).
+_KEYS = {
+    "scene": ("scene", _text),
+    "psf": ("psf", _text),
+    "bc": ("bcs", _each(_parse_bc)),
+    "method": ("methods", _each(_text)),
+    "rho": ("rhos", _each(_parse_float)),
+    "seed": ("seed", _parse_int),
+    "out": ("out", _text),
+    "mix": ("mix", lambda value, what: parse_mix_spec(value)),
+    "mu_lo": ("mu_lo", _parse_float),
+    "mu_hi": ("mu_hi", _parse_float),
+    "mu_count": ("mu_count", _parse_int),
+    "max_terms": ("max_terms", _parse_int),
+    "maxval": ("maxval", _parse_int),
+}
 
 
 def read_config_file(path):
@@ -227,58 +259,16 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         raw[key] = value
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key in ("scene", "psf"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
-    kwargs = {"scene": raw["scene"], "psf": raw["psf"]}
-    if "bc" in raw:
-        bcs = []
-        for token in _parse_tokens(raw["bc"]):
-            try:
-                bcs.append(BoundaryCondition(token))
-            except ValueError as exc:
-                names = ", ".join(bc.value for bc in BoundaryCondition)
-                raise ConfigError(
-                    f"unknown boundary rule {token!r}, expected one of {names}"
-                ) from exc
-        kwargs["bcs"] = tuple(bcs)
-    if "method" in raw:
-        kwargs["methods"] = tuple(_parse_tokens(raw["method"]))
-    if "rho" in raw:
-        kwargs["rhos"] = tuple(
-            _parse_float(tok, "rho") for tok in _parse_tokens(raw["rho"])
-        )
-    if "seed" in raw:
-        kwargs["seed"] = _parse_int(raw["seed"], "seed")
-    if "out" in raw:
-        kwargs["out"] = raw["out"]
-    if "mix" in raw:
-        kwargs["mix"] = parse_mix_spec(raw["mix"])
-    if "mu_lo" in raw:
-        kwargs["mu_lo"] = _parse_float(raw["mu_lo"], "mu_lo")
-    if "mu_hi" in raw:
-        kwargs["mu_hi"] = _parse_float(raw["mu_hi"], "mu_hi")
-    if "mu_count" in raw:
-        kwargs["mu_count"] = _parse_int(raw["mu_count"], "mu_count")
-    if "max_terms" in raw:
-        kwargs["max_terms"] = _parse_int(raw["max_terms"], "max_terms")
-    if "maxval" in raw:
-        kwargs["maxval"] = _parse_int(raw["maxval"], "maxval")
+    kwargs = {
+        field: parse(raw[key], key) for key, (field, parse) in _KEYS.items() if key in raw
+    }
     return ExperimentConfig(**kwargs)
-
-
-def parse_mix_spec(spec):
-    """Build a ColorMixing from 9 comma separated row-major entries."""
-    entries = [_parse_float(tok, "mix entry") for tok in _parse_tokens(spec)]
-    if len(entries) != 9:
-        raise ConfigError("mix must hold 9 comma separated row-major entries")
-    try:
-        return ColorMixing(np.array(entries).reshape(3, 3))
-    except ValueError as exc:
-        raise ConfigError(f"invalid mixing matrix: {exc}") from exc
 
 
 def parse_psf_spec(spec):
@@ -293,19 +283,15 @@ def parse_psf_spec(spec):
             if rest:
                 raise ConfigError("identity psf takes no arguments")
             return identity_mask()
-        if head == "gaussian":
-            q_part, sep, s_part = rest.partition(":")
+        if head in ("gaussian", "disk"):
+            q_part, sep, p_part = rest.partition(":")
             if not sep:
-                raise ConfigError("gaussian psf needs gaussian:q:sigma")
-            half = _parse_pair(q_part, "gaussian half support", _parse_int)
-            sigma = _parse_pair(s_part, "gaussian sigma", _parse_float)
-            return gaussian_mask(half, sigma)
-        if head == "disk":
-            q_part, sep, r_part = rest.partition(":")
-            if not sep:
-                raise ConfigError("disk psf needs disk:q:radius")
-            half = _parse_pair(q_part, "disk half support", _parse_int)
-            return out_of_focus_mask(half, _parse_float(r_part, "disk radius"))
+                width = "sigma" if head == "gaussian" else "radius"
+                raise ConfigError(f"{head} psf needs {head}:q:{width}")
+            half = _parse_pair(q_part, f"{head} half support", _parse_int)
+            if head == "disk":
+                return out_of_focus_mask(half, _parse_float(p_part, "disk radius"))
+            return gaussian_mask(half, _parse_pair(p_part, "gaussian sigma", _parse_float))
         if head == "file":
             if not rest:
                 raise ConfigError("file psf needs file:path")
@@ -318,25 +304,51 @@ def parse_psf_spec(spec):
     raise ConfigError(f"unknown psf spec {spec!r}")
 
 
+def _is_image(path):
+    """True for a .pgm/.ppm path, False for .txt; other suffixes are errors."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".pgm", ".ppm", ".txt"):
+        raise ConfigError(f"unsupported file type {suffix!r} for {path}")
+    return suffix != ".txt"
+
+
+def read_by_suffix(path):
+    """Read a .pgm/.ppm image or a .txt matrix, chosen by the file suffix."""
+    return read_image(path) if _is_image(path) else read_matrix(path)
+
+
+def write_by_suffix(path, image, maxval):
+    """Write a .pgm/.ppm image at maxval or a .txt matrix, by the file suffix."""
+    if _is_image(path):
+        write_image(path, image, maxval)
+    else:
+        write_matrix(path, image)
+
+
+def resolve_mixing(data, mix):
+    """mix, defaulting to the identity for color data; gray data takes none."""
+    if data.ndim == 2 and mix is not None:
+        raise ConfigError("mix was set but the data is grayscale")
+    return identity_mixing() if data.ndim == 3 and mix is None else mix
+
+
+def format_optimum(curve):
+    """A sweep optimum as text: '%.6e' for a mu, an int for a count."""
+    if curve.method == "tikhonov":
+        return f"{curve.best_param:.6e}"
+    return str(int(curve.best_param))
+
+
 def _resolve_scene(config):
     spec = config.scene
-    if spec.startswith("sinusoids:"):
-        dims = spec.split(":", 1)[1]
-        parts = dims.split("x")
-        if len(parts) != 2:
-            raise ConfigError(f"sinusoids scene needs sinusoids:HxW, got {spec!r}")
-        shape = tuple(_parse_int(p, "scene dimension") for p in parts)
-        if config.mix is not None:
-            return low_frequency_scene_color(shape)
-        return low_frequency_scene(shape)
-    suffix = Path(spec).suffix.lower()
-    if suffix in (".pgm", ".ppm"):
-        return read_image(spec)
-    if suffix == ".txt":
-        return read_matrix(spec)
-    raise ConfigError(
-        f"scene {spec!r} must be sinusoids:HxW or a .pgm/.ppm/.txt file"
-    )
+    if not spec.startswith("sinusoids:"):
+        return read_by_suffix(spec)
+    parts = spec.split(":", 1)[1].split("x")
+    if len(parts) != 2:
+        raise ConfigError(f"sinusoids scene needs sinusoids:HxW, got {spec!r}")
+    shape = tuple(_parse_int(p, "scene dimension") for p in parts)
+    scene = low_frequency_scene if config.mix is None else low_frequency_scene_color
+    return scene(shape)
 
 
 def _run_case(g, op, mixing, method, f_true, config):
@@ -367,12 +379,8 @@ def run_experiment(config):
     """
     mask = parse_psf_spec(config.psf)
     scene = _resolve_scene(config)
-    color = scene.ndim == 3
-    mixing = config.mix
-    if color and mixing is None:
-        mixing = identity_mixing()
-    if not color and config.mix is not None:
-        raise ConfigError("mix was set but the scene is grayscale")
+    mixing = resolve_mixing(scene, config.mix)
+    color = mixing is not None
     try:
         f_true = fov_crop(scene, mask.half_support)
     except SizeMismatchError as exc:
@@ -404,16 +412,10 @@ def run_experiment(config):
                 save_picard_csv(subdir / "picard.csv", magnitudes, coefs)
                 name = "restored.ppm" if color else "restored.pgm"
                 write_image(subdir / name, restored.image, config.maxval)
-                rows.append((bc.value, method, rho, curve, restored))
-
-    with open(out / "summary.csv", "w", encoding="ascii") as fh:
-        fh.write("bc,method,rho,optimum_param,rre\n")
-        for bc_name, method, rho, curve, restored in rows:
-            if method == "tikhonov":
-                param = f"{curve.best_param:.6e}"
-            else:
-                param = str(int(curve.best_param))
-            fh.write(
-                f"{bc_name},{method},{rho:.6e},{param},{curve.best_rre:.6e}\n"
-            )
+                rows.append(
+                    f"{bc.value},{method},{rho:.6e},{format_optimum(curve)},"
+                    f"{curve.best_rre:.6e}\n"
+                )
+    summary = "bc,method,rho,optimum_param,rre\n" + "".join(rows)
+    (out / "summary.csv").write_text(summary, encoding="ascii")
     return out

@@ -54,6 +54,9 @@ ZERO_SPECTRUM_TOL = 1e-14
 
 METHODS = ("tsd", "tsvd", "tikhonov")
 
+# The default Tikhonov weights: (lo, hi, count) for log_mu_grid.
+DEFAULT_MU_RANGE = (1e-8, 1.0, 40)
+
 
 @dataclass(frozen=True)
 class TruncateByCount:
@@ -192,31 +195,26 @@ def _tikhonov(coef, lam, mixing):
 
 def _keep_mask(spectrum, spec):
     """Boolean mask of retained indices plus skipped-zero count."""
-    magnitudes = np.abs(spectrum)
     if isinstance(spec, TruncateByThreshold):
-        return magnitudes >= spec.delta, 0
+        return np.abs(spectrum) >= spec.delta, 0
     if isinstance(spec, TruncateByCount):
-        if spec.k > magnitudes.size:
+        if spec.k > spectrum.size:
             raise InvalidParameterError(
-                f"count {spec.k} exceeds spectrum size {magnitudes.size}"
+                f"count {spec.k} exceeds spectrum size {spectrum.size}"
             )
-        chosen = sort_spectrum(magnitudes)[: spec.k]
-        nonzero = magnitudes.ravel()[chosen] >= ZERO_SPECTRUM_TOL
-        keep = np.zeros(magnitudes.size, dtype=bool)
-        keep[chosen[nonzero]] = True
-        return keep.reshape(magnitudes.shape), int(spec.k - nonzero.sum())
+        # zero values rank at the usable count, so rank < k would keep them
+        rank, usable = _spectral_rank(spectrum)
+        kept = min(spec.k, usable)
+        return rank < kept, spec.k - kept
     raise InvalidParameterError(f"not a truncation spec: {spec!r}")
 
 
 def _signed_svd(matrix):
     """SVD with each left singular vector's largest entry made positive."""
     u, s, vt = np.linalg.svd(matrix)
-    for k in range(u.shape[1]):
-        peak = np.argmax(np.abs(u[:, k]))
-        if u[peak, k] < 0:
-            u[:, k] = -u[:, k]
-            vt[k, :] = -vt[k, :]
-    return u, s, vt
+    peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    sign = np.where(peaks < 0, -1.0, 1.0)
+    return u * sign, s, vt * sign[:, None]
 
 
 def _filter_basis(op, method):
@@ -431,11 +429,10 @@ def _spectral_rank(lam):
     Indices whose spectral value is below ZERO_SPECTRUM_TOL are never
     kept; their rank is the usable count itself.
     """
-    order = sort_spectrum(lam)
-    usable = order[np.abs(lam).ravel()[order] >= ZERO_SPECTRUM_TOL]
-    rank = np.full(lam.size, usable.size)
-    rank[usable] = np.arange(usable.size)
-    return rank.reshape(lam.shape), usable.size
+    usable = int(np.count_nonzero(np.abs(lam) >= ZERO_SPECTRUM_TOL))
+    rank = np.full(lam.size, usable)
+    rank[sort_spectrum(lam)[:usable]] = np.arange(usable)
+    return rank.reshape(lam.shape), usable
 
 
 def _truncation_errors(coef, lam, target, borders, max_terms):
@@ -543,7 +540,15 @@ def svd_rre_sweep(g, op, f_true, max_terms=None):
 
 def default_mu_grid():
     """Forty log-spaced regularization weights spanning [1e-8, 1]."""
-    return np.logspace(-8.0, 0.0, 40)
+    return log_mu_grid(*DEFAULT_MU_RANGE)
+
+
+def log_mu_grid(lo, hi, count):
+    """count log-spaced weights from lo to hi, checked as sweep checks a grid."""
+    ends = _check_mu_grid((lo, hi))
+    if count < 1:
+        raise InvalidParameterError(f"mu count must be >= 1, got {count!r}")
+    return _check_mu_grid(np.logspace(*np.log10(ends), count))
 
 
 def _check_mu_grid(mu_grid):
@@ -552,8 +557,8 @@ def _check_mu_grid(mu_grid):
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or mu_grid.size == 0:
         raise InvalidParameterError("mu grid must be a nonempty 1-D array")
-    if not (mu_grid > 0).all():
-        raise InvalidParameterError("mu grid must be strictly positive")
+    if not (np.isfinite(mu_grid) & (mu_grid > 0)).all():
+        raise InvalidParameterError("mu grid must be finite and strictly positive")
     if mu_grid.size > 1 and not (np.diff(mu_grid) > 0).all():
         raise InvalidParameterError("mu grid must be strictly increasing")
     return mu_grid

@@ -9,78 +9,52 @@ same maxval reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _MAXVALS = (255, 65535)
+# Separators (whitespace, or a '#' comment through its newline), then one
+# header token. The token is empty only at the end of the data or at a
+# comment with no newline.
+_TOKEN = re.compile(rb"(?:[%s]+|#[^\n]*\n)*([^%s#]*)" % (_WHITESPACE, _WHITESPACE))
 # Rows formatted per write by _write_csv.
 _CSV_BLOCK = 4096
 
 
-class _HeaderScanner:
-    """Tokenizer for netpbm headers that tracks byte offsets."""
-
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def _skip_separators(self):
-        data = self.data
-        while self.pos < len(data):
-            byte = data[self.pos : self.pos + 1]
-            if byte in (b"#",):
-                end = data.find(b"\n", self.pos)
-                if end < 0:
-                    raise FormatError("unterminated comment", offset=self.pos)
-                self.pos = end + 1
-            elif byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def token(self, what):
-        self._skip_separators()
-        start = self.pos
-        data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1] not in _WHITESPACE:
-            if data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise FormatError(f"missing {what}", offset=start)
-        return data[start : self.pos], start
-
-    def integer(self, what):
-        raw, start = self.token(what)
-        if not raw.isdigit():
-            raise FormatError(f"invalid {what} {raw!r}", offset=start)
-        return int(raw)
-
-    def raster_start(self):
-        if self.pos >= len(self.data):
-            raise FormatError("missing raster", offset=self.pos)
-        byte = self.data[self.pos : self.pos + 1]
-        if byte not in _WHITESPACE:
-            raise FormatError("expected whitespace before raster", offset=self.pos)
-        self.pos += 1
-        return self.pos
+def _header_token(data, pos, what):
+    """The next header token at or after pos, its offset, and its end."""
+    match = _TOKEN.match(data, pos)
+    raw, at = match[1], match.start(1)
+    if not raw:
+        message = "unterminated comment" if data.startswith(b"#", at) else f"missing {what}"
+        raise FormatError(message, offset=at)
+    return raw, at, match.end()
 
 
 def _parse_netpbm(data):
-    scanner = _HeaderScanner(data)
-    magic, start = scanner.token("magic number")
+    magic, start, pos = _header_token(data, 0, "magic number")
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"unsupported magic number {magic!r}", offset=start)
-    width = scanner.integer("width")
-    height = scanner.integer("height")
-    maxval = scanner.integer("maxval")
+    numbers = []
+    for what in ("width", "height", "maxval"):
+        raw, at, pos = _header_token(data, pos, what)
+        if not raw.isdigit():
+            raise FormatError(f"invalid {what} {raw!r}", offset=at)
+        numbers.append(int(raw))
+    width, height, maxval = numbers
     if width <= 0 or height <= 0:
         raise FormatError(f"invalid dimensions {width}x{height}", offset=start)
     if maxval not in _MAXVALS:
         raise FormatError(f"unsupported maxval {maxval}", offset=start)
-    offset = scanner.raster_start()
+    if pos >= len(data):
+        raise FormatError("missing raster", offset=pos)
+    if data[pos] not in _WHITESPACE:
+        raise FormatError("expected whitespace before raster", offset=pos)
+    offset = pos + 1
     channels = 3 if magic == b"P6" else 1
     itemsize = 2 if maxval > 255 else 1
     expected = width * height * channels * itemsize

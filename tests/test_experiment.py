@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -293,3 +295,57 @@ def test_cli_rejects_non_finite_matrix(tmp_path, capsys):
     assert code == 2
     assert not (tmp_path / "o.txt").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_terms", 2.5), ("max_terms", 0), ("mu_count", 2.5), ("mu_count", 0),
+     ("mu_hi", np.inf), ("mu_lo", 0.0), ("mu_lo", 2.0), ("mu_lo", "x")],
+)
+def test_config_rejects_bad_sweep_settings_before_running(tmp_path, field, value):
+    out = tmp_path / "never"
+    with pytest.raises(r.ConfigError):
+        r.ExperimentConfig(
+            scene="sinusoids:8x8", psf="identity", out=str(out), **{field: value}
+        )
+    overrides = ["scene=sinusoids:8x8", "psf=identity", f"out={out}", f"{field}={value}"]
+    with pytest.raises(r.ConfigError):
+        r.load_config(None, overrides)
+    assert not out.exists()
+
+
+def test_config_stores_integer_like_sweep_settings():
+    config = r.ExperimentConfig(
+        scene="sinusoids:8x8", psf="identity", max_terms=np.int64(7), mu_count=np.int64(5)
+    )
+    assert (config.max_terms, config.mu_count) == (7, 5)
+    assert type(config.max_terms) is int and type(config.mu_count) is int
+    assert np.array_equal(r.ExperimentConfig("s", "p").mu_grid(), r.default_mu_grid())
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment configs", 1)[1]
+    block = section.split("```", 2)[1]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    config = r.load_config(cfg)
+    assert config.scene == "sinusoids:64x64" and config.psf == "gaussian:7:2"
+    assert config.bcs == (BC.REFLECTIVE, BC.ANTIREFLECTIVE)
+    assert config.rhos == (0.001, 0.01, 0.1) and config.seed == 42
+    assert config.mix is None and config.max_terms is None
+    assert np.array_equal(config.mu_grid(), r.default_mu_grid())
+
+
+def test_cli_file_type_and_gray_mix_errors(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    r.write_matrix(truth, r.low_frequency_scene((8, 8)))
+    common = ["--psf", "identity", "--bc", "reflective"]
+    bad_suffix = ["blur", "--image", str(truth), *common, "--out", str(tmp_path / "o.png")]
+    gray_mix = ["blur", "--image", str(truth), *common, "--out", str(tmp_path / "o.txt"),
+                "--mix", "1,0,0,0,1,0,0,0,1"]
+    for argv in (bad_suffix, gray_mix):
+        assert main(argv) == 2
+    assert not (tmp_path / "o.png").exists() and not (tmp_path / "o.txt").exists()
+    err = capsys.readouterr().err
+    assert "'.png'" in err and "grayscale" in err

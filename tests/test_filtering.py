@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import refocus as r
+from refocus import filtering
 from refocus.operators import BoundaryCondition as BC
 
 from conftest import rough_image, smooth_image
@@ -62,6 +63,48 @@ def test_zero_eigenvalues_skipped_and_reported():
     assert res.skipped_zero == 6
     assert res.count_kept == 30
     assert np.isfinite(res.image).all()
+
+
+def _keep_mask_by_sort(lam, k):
+    """Reference: the first k indices in spectral order, minus zero values."""
+    chosen = r.sort_spectrum(lam)[:k]
+    nonzero = np.abs(lam).ravel()[chosen] >= r.ZERO_SPECTRUM_TOL
+    keep = np.zeros(lam.size, dtype=bool)
+    keep[chosen[nonzero]] = True
+    return keep.reshape(lam.shape), int(k - nonzero.sum())
+
+
+def test_count_mask_matches_sort_reference():
+    # zero values, ties and both signs; rank < k alone would keep the zeros
+    mask = r.PsfMask(np.array([[0.5], [0.0], [0.5]]))
+    grids = [r.eigen_grid_for(r.BlurOperator(mask, BC.REFLECTIVE, (6, 6))).values,
+             np.array([[0.5, -0.5, 0.0], [1e-15, 0.25, -0.5]])]
+    for lam in grids:
+        for k in range(lam.size + 1):
+            keep, skipped = filtering._keep_mask(lam, r.TruncateByCount(k))
+            ref_keep, ref_skipped = _keep_mask_by_sort(lam, k)
+            assert np.array_equal(keep, ref_keep) and skipped == ref_skipped
+            assert type(skipped) is int
+
+
+def _signed_svd_by_column(matrix):
+    """Reference: flip each column whose largest entry is negative."""
+    u, s, vt = np.linalg.svd(matrix)
+    for k in range(u.shape[1]):
+        if u[np.argmax(np.abs(u[:, k])), k] < 0:
+            u[:, k] = -u[:, k]
+            vt[k, :] = -vt[k, :]
+    return u, s, vt
+
+
+def test_signed_svd_matches_column_loop_bitwise():
+    rng = np.random.default_rng(0)
+    mats = [rng.standard_normal((m, m)) for m in (1, 3, 8, 31)]
+    mats += [r.assemble_dense_1d(np.array([0.25, 0.5, 0.25]), 12, bc)
+             for bc in (BC.REFLECTIVE, BC.ANTIREFLECTIVE)]
+    for a in mats:
+        for got, want in zip(filtering._signed_svd(a), _signed_svd_by_column(a)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_tikhonov_matches_dense_regularized_solve(gauss11, cross_mask):
@@ -217,6 +260,15 @@ def test_mu_grid_validation(gauss11):
         r.mu_sweep(g, op, f, np.array([1e-3, 1e-4]))
     with pytest.raises(r.InvalidParameterError):
         r.mu_sweep(g, op, f, np.array([0.0, 1e-4]))
+
+
+def test_mu_grid_rejects_non_finite_weights(gauss11):
+    # noise 100 times the data makes the zero image (mu = inf) the best fit
+    op, f, g = _model_pair(gauss11, BC.REFLECTIVE, (6, 6))
+    noisy = g + 100.0 * r.standard_normal_field(4, g.shape)
+    for bad in ([1e-3, np.inf], [1e-3, np.nan], [np.inf]):
+        with pytest.raises(r.InvalidParameterError):
+            r.mu_sweep(noisy, op, f, mu_grid=bad)
 
 
 def test_save_curve_csv_round_trip(tmp_path, gauss11):

@@ -98,6 +98,32 @@ def test_format_errors_carry_offsets(tmp_path):
         r.read_image(path)
 
 
+@pytest.mark.parametrize(
+    "data, fragment, offset",
+    [
+        (b"P5 # no newline", "unterminated comment", 3),
+        (b"P5\n2 2 #\n# dangling", "unterminated comment", 9),
+        (b"P5\n", "missing width", 3),
+        (b"P5\n2 ", "missing height", 5),
+        (b"P5\n2 2\n", "missing maxval", 7),
+        (b"P5\n2 x\n255\n", "invalid height b'x'", 5),
+        (b"P5\n-2 2\n255\n", "invalid width b'-2'", 3),
+        (b"P5\n2 2\n2.5\n", "invalid maxval b'2.5'", 7),
+        (b"  P5\n0 2\n255\n", "invalid dimensions 0x2", 2),
+        (b"P6\n3 00\n255\n", "invalid dimensions 3x0", 0),
+        (b"P5\n2 2\n255", "missing raster", 10),
+        (b"P5\n2 2\n255#c\n\x01\x02\x03\x04", "expected whitespace before raster", 10),
+    ],
+)
+def test_header_errors_pin_message_and_offset(tmp_path, data, fragment, offset):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    with pytest.raises(r.FormatError) as info:
+        r.read_image(path)
+    assert fragment in str(info.value)
+    assert info.value.offset == offset
+
+
 def test_write_image_validation(tmp_path):
     path = tmp_path / "img.pgm"
     with pytest.raises(r.InvalidParameterError):
