@@ -11,6 +11,8 @@ bytes.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,7 +124,7 @@ class ExperimentConfig:
         if not self.rhos:
             raise ConfigError("at least one noise level is required")
         for rho in self.rhos:
-            if not (np.isfinite(rho) and rho >= 0):
+            if not (isinstance(rho, numbers.Real) and math.isfinite(rho) and rho >= 0):
                 raise ConfigError(f"rho must be finite and >= 0, got {rho}")
         for name in ("seed", "mu_count"):
             value = getattr(self, name)

@@ -23,6 +23,7 @@ from .psf import PsfMask, require_strong_symmetry
 
 _DENSE_LIMIT = 20000
 _ASSEMBLE_BATCH = 512
+_TILE_BYTES = 256 * 1024
 
 
 class BoundaryCondition(Enum):
@@ -129,15 +130,46 @@ def _support_reach(weights):
 
 
 def _correlate_valid(extended, weights, out_shape):
-    """Sum of shifted slices: correlation keeping only full overlaps."""
+    """Sum of shifted slices: correlation keeping only full overlaps.
+
+    The output is built in tiles of about _TILE_BYTES, so the shifted
+    slices and their products stay in cache instead of streaming
+    image-sized temporaries through memory. A tile holds as many whole
+    extended images as fit, or else a strip of rows of one image. It
+    accumulates in the extended layout, where every tap is one
+    contiguous run of the flattened input; the samples that fall in
+    the margins are discarded. Every kept pixel receives the nonzero
+    taps in row-major order, each as one multiply and one add onto
+    zero, so the result is bitwise the same as summing whole shifted
+    slices.
+    """
     n1, n2 = out_shape
-    out = np.zeros(extended.shape[:-2] + (n1, n2))
-    for a in range(weights.shape[0]):
-        for b in range(weights.shape[1]):
-            w = weights[a, b]
-            if w != 0.0:
-                out += w * extended[..., a : a + n1, b : b + n2]
-    return out
+    e1, e2 = extended.shape[-2:]
+    flat = extended.reshape(-1)
+    count = flat.size // (e1 * e2)
+    out = np.empty((count, n1, n2))
+    rows, cols = np.nonzero(weights)
+    taps = list(zip((rows * e2 + cols).tolist(), weights[rows, cols].tolist()))
+    if 8 * e1 * e2 <= _TILE_BYTES:
+        images, strip = _TILE_BYTES // (8 * e1 * e2), n1
+        pitch = e1 * e2
+    else:
+        images, strip = 1, min(n1, max(1, _TILE_BYTES // (8 * e2)))
+        pitch = strip * e2
+    acc, prod = np.empty((2, min(images, count) * pitch))
+    for k0 in range(0, count, images):
+        for r0 in range(0, n1, strip):
+            c, h = min(images, count - k0), min(strip, n1 - r0)
+            span = (c - 1) * pitch + (h - 1) * e2 + n2
+            start = k0 * e1 * e2 + r0 * e2
+            tile, part = acc[:span], prod[:span]
+            tile.fill(0.0)
+            for shift, w in taps:
+                np.multiply(flat[start + shift : start + shift + span], w, out=part)
+                tile += part
+            grid = acc[: c * pitch].reshape(c, pitch // e2, e2)
+            out[k0 : k0 + c, r0 : r0 + h] = grid[:, :h, :n2]
+    return out.reshape(extended.shape[:-2] + (n1, n2))
 
 
 def apply_blur(op, image):
@@ -204,12 +236,9 @@ def assemble_dense_1d(weights, m, bc):
     if bc is BoundaryCondition.ANTIREFLECTIVE:
         _check_support(_support_reach(w), (m,), bc, spectral=True)
     padded = np.pad(np.eye(m), ((0, 0), (q, q)), **_PAD_MODES[bc])
-    rows = np.zeros((m, m))
-    for a in range(w.size):
-        if w[a] != 0.0:
-            rows += w[a] * padded[:, a : a + m]
+    rows = _correlate_valid(padded[:, None, :], w[None, :], (1, m))
     # row i holds the blur of basis vector i, so transpose to get columns.
-    return rows.T
+    return rows.reshape(m, m).T
 
 
 def blur_oversized_scene(scene, mask):

@@ -82,6 +82,18 @@ def test_config_errors(tmp_path):
         r.load_config(cfg)
 
 
+def test_config_rejects_non_numeric_rho(tmp_path):
+    out = tmp_path / "never"
+    for rho in ("x", None, 0.01j):
+        with pytest.raises(r.ConfigError, match="rho"):
+            r.ExperimentConfig(
+                scene="sinusoids:8x8", psf="identity", rhos=(rho,), out=str(out)
+            )
+    assert not out.exists()
+    config = r.ExperimentConfig(scene="s", psf="p", rhos=(np.float64(0.01), 0))
+    assert config.rhos == (0.01, 0)
+
+
 def test_scene_too_small_rejected(tmp_path):
     config = r.load_config(
         None,

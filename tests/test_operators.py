@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
 
 import refocus as r
+from refocus.operators import _TILE_BYTES, _correlate_valid
 from refocus.operators import BoundaryCondition as BC
 
 from conftest import rough_image, smooth_image
@@ -137,3 +140,95 @@ def test_assemble_dense_guard(gauss11):
     op = r.BlurOperator(gauss11, BC.REFLECTIVE, (150, 150))
     with pytest.raises(r.SizeGuardError):
         r.assemble_dense(op)
+
+
+def _whole_slice_correlate(extended, weights, out_shape):
+    """Reference kernel: one image-sized product per nonzero tap."""
+    n1, n2 = out_shape
+    out = np.zeros(extended.shape[:-2] + (n1, n2))
+    for a in range(weights.shape[0]):
+        for b in range(weights.shape[1]):
+            w = weights[a, b]
+            if w != 0.0:
+                out += w * extended[..., a : a + n1, b : b + n2]
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# gaussian_mask((2, 1), ...) pads rows by 2 on each side and columns by
+# 1, so n2 = 254 makes extended rows of 256 floats: a tile then holds
+# whole images up to n1 = _TILE_ROWS - 4 and strips of _TILE_ROWS rows.
+_TILE_ROWS = _TILE_BYTES // (8 * 256)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1, 7, 6),
+        (3, 7, 6),
+        (512, 9, 8),
+        (2, 3, 20, 22),
+        (3, _TILE_ROWS - 5, 254),
+        (3, _TILE_ROWS - 4, 254),
+        (3, _TILE_ROWS - 3, 254),
+        (1, _TILE_ROWS - 1, 254),
+        (2, _TILE_ROWS, 254),
+        (1, _TILE_ROWS + 1, 254),
+        (1, 2 * _TILE_ROWS - 1, 254),
+        (3, 2 * _TILE_ROWS + 1, 254),
+    ],
+)
+def test_tiled_blur_is_bitwise_whole_slice_sum(shape):
+    mask = r.gaussian_mask((2, 1), (1.1, 0.9))
+    x = r.standard_normal_field(11, shape)
+    x.flat[::7] = -0.0
+    for bc in BC:
+        ext = r.pad(x, bc, mask.half_support)
+        want = _whole_slice_correlate(ext, mask.weights, shape[-2:])
+        assert _same_bits(_correlate_valid(ext, mask.weights, shape[-2:]), want)
+        op = r.BlurOperator(mask, bc, shape[-2:])
+        assert _same_bits(r.apply_blur(op, x), want)
+
+
+def test_tiled_blur_sparse_zero_and_identity_masks():
+    x = r.standard_normal_field(3, (3, 2 * _TILE_ROWS + 1, 254))
+    x.flat[::5] = -0.0
+    disk = r.out_of_focus_mask((2, 1), 2.0)
+    assert (disk.weights == 0).any()
+    ext = r.pad(x, BC.REFLECTIVE, disk.half_support)
+    want = _whole_slice_correlate(ext, disk.weights, x.shape[-2:])
+    assert _same_bits(_correlate_valid(ext, disk.weights, x.shape[-2:]), want)
+    # no nonzero tap at all: an exact zero field
+    empty = np.zeros((5, 3))
+    assert _same_bits(_correlate_valid(ext, empty, x.shape[-2:]), np.zeros(x.shape))
+    op = r.BlurOperator(r.identity_mask(), BC.PERIODIC, x.shape[-2:])
+    assert r.apply_blur(op, np.empty((0,) + x.shape)).shape == (0,) + x.shape
+    blurred = r.apply_blur(op, x)
+    assert np.array_equal(blurred, x)
+    assert _same_bits(blurred, _whole_slice_correlate(x, np.ones((1, 1)), x.shape[-2:]))
+
+
+def test_tiled_blur_oversized_and_strided_scenes():
+    mask = r.gaussian_mask((2, 2), 1.0)
+    scene = r.standard_normal_field(9, (3, 2 * _TILE_ROWS + 5, 300))
+    for view in (scene, scene[:, :, ::2], scene.transpose(0, 2, 1)):
+        out_shape = (view.shape[-2] - 4, view.shape[-1] - 4)
+        want = _whole_slice_correlate(view, mask.weights, out_shape)
+        assert _same_bits(r.blur_oversized_scene(view, mask), want)
+
+
+def test_blur_memory_is_output_plus_extension_plus_one_mib():
+    disk = r.out_of_focus_mask((5, 5), 4.5)
+    op = r.BlurOperator(disk, BC.REFLECTIVE, (512, 512))
+    x = r.standard_normal_field(1, (512, 512))
+    extension_bytes = 8 * (512 + 10) ** 2
+    tracemalloc.start()
+    try:
+        out = r.apply_blur(op, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + extension_bytes + 2**20
