@@ -11,8 +11,6 @@ bytes.
 
 from __future__ import annotations
 
-import math
-import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,28 +20,24 @@ import numpy as np
 from .color import ColorMixing, identity_mixing
 from .errors import ConfigError, SizeMismatchError
 from .filtering import (
+    _BASIS,
     DEFAULT_MU_RANGE,
     METHODS,
     Tikhonov,
     TruncateByCount,
     _check_max_terms,
+    _finite_real,
     _mix,
+    _Plan,
+    _restore,
+    _sweep,
     log_mu_grid,
-    restore,
     save_curve_csv,
-    sweep,
 )
 from .imageio import _MAXVALS, read_image, read_matrix, write_image, write_matrix
-from .metrics import NoiseSpec, add_noise, picard_data, save_picard_csv
+from .metrics import NoiseSpec, _picard_data, add_noise, save_picard_csv
 from .operators import BlurOperator, BoundaryCondition, blur_oversized_scene, fov_crop
-from .psf import (
-    gaussian_mask,
-    identity_mask,
-    load_mask,
-    out_of_focus_mask,
-    separable_factors,
-)
-from .spectrum import eigen_grid_for
+from .psf import gaussian_mask, identity_mask, load_mask, out_of_focus_mask
 
 
 def low_frequency_scene(shape):
@@ -124,7 +118,7 @@ class ExperimentConfig:
         if not self.rhos:
             raise ConfigError("at least one noise level is required")
         for rho in self.rhos:
-            if not (isinstance(rho, numbers.Real) and math.isfinite(rho) and rho >= 0):
+            if not (_finite_real(rho) and rho >= 0):
                 raise ConfigError(f"rho must be finite and >= 0, got {rho}")
         for name in ("seed", "mu_count"):
             value = getattr(self, name)
@@ -353,14 +347,17 @@ def _resolve_scene(config):
     return scene(shape)
 
 
-def _run_case(g, op, mixing, method, f_true, config):
-    """Sweep one (data, operator, method) case, restore at the optimum."""
-    curve = sweep(g, op, method, f_true, mixing, config.max_terms, config.mu_grid())
+def _run_case(g, plan, mixing, method, f_true, config):
+    """Sweep one (data, operator, method) case, restore at the optimum.
+
+    plan is the operator's plan for the basis of method.
+    """
+    curve = _sweep(g, plan, method, f_true, mixing, config.max_terms, config.mu_grid())
     if method == "tikhonov":
         best = Tikhonov(float(curve.best_param))
     else:
         best = TruncateByCount(int(curve.best_param))
-    return curve, restore(g, op, method, best, mixing)
+    return curve, _restore(g, plan, method, best, mixing)
 
 
 def run_experiment(config):
@@ -389,10 +386,11 @@ def run_experiment(config):
         raise ConfigError(f"scene too small for the psf margins: {exc}") from None
     shape = f_true.shape[-2:]
     ops = {bc: BlurOperator(mask, bc, shape) for bc in config.bcs}
-    for op in ops.values():
-        eigen_grid_for(op)
-    if "tsvd" in config.methods:
-        separable_factors(mask)
+    # every basis is built once, before any work, so a mask that a rule's
+    # spectrum or tsvd cannot use fails before anything is written; the
+    # Picard data always needs the eigenbasis
+    bases = dict.fromkeys(["eigen"] + [_BASIS[method] for method in config.methods])
+    plans = {(bc, basis): _Plan(ops[bc], basis) for basis in bases for bc in config.bcs}
 
     g_clean = blur_oversized_scene(scene, mask)
     if color:
@@ -404,10 +402,10 @@ def run_experiment(config):
     for rho in config.rhos:
         noisy, _snr = add_noise(g_clean, NoiseSpec(rho, config.seed))
         for bc in config.bcs:
-            op = ops[bc]
-            magnitudes, coefs = picard_data(noisy, op)
+            magnitudes, coefs = _picard_data(noisy, plans[bc, "eigen"])
             for method in config.methods:
-                curve, restored = _run_case(noisy, op, mixing, method, f_true, config)
+                plan = plans[bc, _BASIS[method]]
+                curve, restored = _run_case(noisy, plan, mixing, method, f_true, config)
                 subdir = out / f"{bc.value}_{method}_rho{rho:g}"
                 subdir.mkdir(parents=True, exist_ok=True)
                 save_curve_csv(curve, subdir / "curve.csv")

@@ -19,6 +19,14 @@ a (3, n1, n2) stack whose channel coefficients are unmixed by the 3x3
 mixing matrix M (see color.py). The per-filter functions here and in
 color.py are thin wrappers over that core.
 
+The core runs in a filter plan, one per (operator, basis): the
+eigenbasis, shared by tsd and tikhonov, or the singular bases of the
+separable factors, for tsvd. A plan holds the spectrum and the basis
+maps; it sorts the spectrum and builds the Gram border vectors only
+when a filter first needs them. `restore` and `sweep` build a plan per
+call; an experiment builds each operator's plans once and passes them
+to every sweep, restore and Picard plot of the run.
+
 Sweeps never synthesize an image. The error of a restoration is the
 norm of its coefficient difference from the reference's coefficients,
 weighted by the Gram matrix S^T S of the synthesis basis per axis. That
@@ -30,8 +38,11 @@ plus O(N) work, and each Tikhonov weight on a mu grid costs O(N).
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -52,10 +63,18 @@ from .spectrum import (
 # inverted; count-based truncation skips them and reports how many.
 ZERO_SPECTRUM_TOL = 1e-14
 
-METHODS = ("tsd", "tsvd", "tikhonov")
+# The basis each method filters in: the operator's own eigenbasis, or the
+# singular bases of its two separable 1-D factors.
+_BASIS = {"tsd": "eigen", "tsvd": "svd", "tikhonov": "eigen"}
+METHODS = tuple(_BASIS)
 
 # The default Tikhonov weights: (lo, hi, count) for log_mu_grid.
 DEFAULT_MU_RANGE = (1e-8, 1.0, 40)
+
+
+def _finite_real(value):
+    """True if value is a finite real number (a Python or numpy scalar)."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -65,7 +84,7 @@ class TruncateByCount:
     k: int
 
     def __post_init__(self):
-        if self.k != int(self.k) or self.k < 0:
+        if not _finite_real(self.k) or self.k != int(self.k) or self.k < 0:
             raise InvalidParameterError(f"count must be a nonnegative int, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
 
@@ -77,8 +96,8 @@ class TruncateByThreshold:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise InvalidParameterError(f"threshold must be positive, got {self.delta!r}")
+        if not (_finite_real(self.delta) and self.delta > 0):
+            raise InvalidParameterError(f"threshold must be finite and > 0, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +107,8 @@ class Tikhonov:
     mu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise InvalidParameterError(f"mu must be positive, got {self.mu!r}")
+        if not (_finite_real(self.mu) and self.mu > 0):
+            raise InvalidParameterError(f"mu must be finite and > 0, got {self.mu!r}")
 
 
 FilterSpec = Union[TruncateByCount, TruncateByThreshold, Tikhonov]
@@ -193,17 +212,17 @@ def _tikhonov(coef, lam, mixing):
     return damped
 
 
-def _keep_mask(spectrum, spec):
+def _keep_mask(plan, spec):
     """Boolean mask of retained indices plus skipped-zero count."""
     if isinstance(spec, TruncateByThreshold):
-        return np.abs(spectrum) >= spec.delta, 0
+        return np.abs(plan.lam) >= spec.delta, 0
     if isinstance(spec, TruncateByCount):
-        if spec.k > spectrum.size:
+        if spec.k > plan.lam.size:
             raise InvalidParameterError(
-                f"count {spec.k} exceeds spectrum size {spectrum.size}"
+                f"count {spec.k} exceeds spectrum size {plan.lam.size}"
             )
         # zero values rank at the usable count, so rank < k would keep them
-        rank, usable = _spectral_rank(spectrum)
+        rank, usable = plan.rank()
         kept = min(spec.k, usable)
         return rank < kept, spec.k - kept
     raise InvalidParameterError(f"not a truncation spec: {spec!r}")
@@ -217,32 +236,77 @@ def _signed_svd(matrix):
     return u * sign, s, vt * sign[:, None]
 
 
-def _filter_basis(op, method):
-    """(spectrum, analysis, synthesis, coordinates) of a method's basis.
+class _Plan:
+    """One basis of one operator, built once and shared by its filters.
 
-    The maps act on the last two axes, so channel stacks pass through;
-    coordinates() gives an image's coefficients in the synthesis basis.
+    basis is "eigen" (the operator's eigenbasis, for tsd and tikhonov) or
+    "svd" (the singular bases of its separable 1-D factors, for tsvd).
+    lam is the spectrum; analysis, synthesis and coordinates map on the
+    last two axes, so channel stacks pass through, and coordinates()
+    gives an image's coefficients in the synthesis basis. The spectral
+    order and the Gram border vectors are computed on first use, so a
+    Tikhonov or threshold restore never sorts and only sweeps build the
+    borders. A plan lives as long as the call or run that built it.
     """
-    if method in ("tsd", "tikhonov"):
-        analysis = lambda x: spectral_analysis(x, op.bc)
-        return (
-            eigen_grid_for(op).values,
-            analysis,
-            lambda x: spectral_synthesis(x, op.bc),
-            analysis,
-        )
-    if method == "tsvd":
-        (u1, s1, v1t), (u2, s2, v2t) = (
-            _signed_svd(assemble_dense_1d(w, n, op.bc))
-            for w, n in zip(separable_factors(op.mask), op.shape)
-        )
-        return (
-            np.multiply.outer(s1, s2),
-            lambda x: u1.T @ x @ u2,
-            lambda x: v1t.T @ x @ v2t,
-            lambda x: v1t @ x @ v2t.T,
-        )
-    raise InvalidParameterError(f"unknown method {method!r}, expected {METHODS}")
+
+    def __init__(self, op, basis):
+        self.op = op
+        if basis == "eigen":
+            self.lam = eigen_grid_for(op).values
+            self.analysis = self.coordinates = lambda x: spectral_analysis(x, op.bc)
+            self.synthesis = lambda x: spectral_synthesis(x, op.bc)
+        else:
+            (u1, s1, v1t), (u2, s2, v2t) = (
+                _signed_svd(assemble_dense_1d(w, n, op.bc))
+                for w, n in zip(separable_factors(op.mask), op.shape)
+            )
+            self.lam = np.multiply.outer(s1, s2)
+            self.analysis = lambda x: u1.T @ x @ u2
+            self.synthesis = lambda x: v1t.T @ x @ v2t
+            self.coordinates = lambda x: v1t @ x @ v2t.T
+            self.borders = (None, None)  # both singular bases are orthonormal
+
+    @cached_property
+    def order(self):
+        """Flat indices in spectral order: the one stable sort of lam."""
+        return sort_spectrum(self.lam)
+
+    def rank(self):
+        """Each index's position in spectral order, and the usable count.
+
+        Indices whose spectral value is below ZERO_SPECTRUM_TOL are never
+        kept; their rank is the usable count itself.
+        """
+        usable = int(np.count_nonzero(np.abs(self.lam) >= ZERO_SPECTRUM_TOL))
+        rank = np.full(self.lam.size, usable)
+        rank[self.order[:usable]] = np.arange(usable)
+        return rank.reshape(self.lam.shape), usable
+
+    @cached_property
+    def borders(self):
+        """Per axis, the Gram matrix S^T S of the eigenbasis synthesis.
+
+        Each entry is None where the basis is orthonormal, else the (m, 2)
+        vectors c_b with S^T S = I + sum_b (e_b c_b^T + c_b e_b^T) over the
+        border indices b = 0, m-1: the columns E[:, 0] and E[:, m-1] of
+        spectrum.synthesis_gram, each with half of the corner entry
+        E[0, m-1] that the two share.
+        """
+        borders = []
+        for cols in synthesis_gram(self.op.bc, self.op.shape):
+            if cols is not None:
+                cols = cols.copy()
+                cols[-1, 0] *= 0.5
+                cols[0, 1] *= 0.5
+            borders.append(cols)
+        return tuple(borders)
+
+
+def _plan(op, method):
+    """A new plan of the basis that method filters in."""
+    if method not in _BASIS:
+        raise InvalidParameterError(f"unknown method {method!r}, expected {METHODS}")
+    return _Plan(op, _BASIS[method])
 
 
 def restore(g, op, method, spec, mixing=None):
@@ -255,20 +319,24 @@ def restore(g, op, method, spec, mixing=None):
     """
     if isinstance(spec, Tikhonov) != (method == "tikhonov"):
         raise InvalidParameterError(f"method {method!r} cannot use {spec!r}")
-    g = _check_data(g, op, mixing is not None)
-    lam, analysis, synthesis, _coordinates = _filter_basis(op, method)
+    return _restore(g, _plan(op, method), method, spec, mixing)
+
+
+def _restore(g, plan, method, spec, mixing):
+    """restore in a plan already built for method's basis."""
+    g = _check_data(g, plan.op, mixing is not None)
     if method == "tikhonov":
-        fhat = _tikhonov(analysis(g), lam, mixing)(spec.mu)
-        parameter, kept, skipped = spec.mu, lam.size, 0
+        fhat = _tikhonov(plan.analysis(g), plan.lam, mixing)(spec.mu)
+        parameter, kept, skipped = spec.mu, plan.lam.size, 0
     else:
-        keep, skipped = _keep_mask(lam, spec)
-        coef = _unmix(analysis(g), mixing)
+        keep, skipped = _keep_mask(plan, spec)
+        coef = _unmix(plan.analysis(g), mixing)
         fhat = np.zeros_like(coef)
-        np.divide(coef, lam, out=fhat, where=keep)
+        np.divide(coef, plan.lam, out=fhat, where=keep)
         parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
         kept = int(keep.sum())
     return RestorationResult(
-        image=synthesis(fhat),
+        image=plan.synthesis(fhat),
         method=method,
         parameter=float(parameter),
         count_kept=kept,
@@ -341,32 +409,11 @@ _BORDERS = (slice(0, 1), slice(-1, None))
 _ALL = slice(None)
 
 
-def _border_vectors(op, method):
-    """Per axis, the Gram matrix S^T S of a method's synthesis basis.
-
-    Each entry is None where the basis is orthonormal, else the (m, 2)
-    vectors c_b with S^T S = I + sum_b (e_b c_b^T + c_b e_b^T) over the
-    border indices b = 0, m-1: the columns E[:, 0] and E[:, m-1] of
-    spectrum.synthesis_gram, each with half of the corner entry E[0, m-1]
-    that the two share.
-    """
-    if method == "tsvd":
-        return (None, None)
-    borders = []
-    for cols in synthesis_gram(op.bc, op.shape):
-        if cols is not None:
-            cols = cols.copy()
-            cols[-1, 0] *= 0.5
-            cols[0, 1] *= 0.5
-        borders.append(cols)
-    return tuple(borders)
-
-
 def _gram_pairs(borders):
     """The terms w * D[x] * D[y] of the quadratic form sum <D, G1 D G2>.
 
     G1 and G2 are the per-axis synthesis Gram matrices I + E given by
-    _border_vectors. Expanding <D, D + E1 D + D E2 + E1 D E2> with
+    _Plan.borders. Expanding <D, D + E1 D + D E2 + E1 D E2> with
     E = sum_b (e_b c_b^T + c_b e_b^T) leaves O(N) entry pairs: each
     entry with itself (the plain sum of squares, not yielded here), each
     border entry with its row or column, each corner with the whole
@@ -423,19 +470,7 @@ def _channel_dot(a, b):
     return out
 
 
-def _spectral_rank(lam):
-    """Each index's position in spectral order, and the usable count.
-
-    Indices whose spectral value is below ZERO_SPECTRUM_TOL are never
-    kept; their rank is the usable count itself.
-    """
-    usable = int(np.count_nonzero(np.abs(lam) >= ZERO_SPECTRUM_TOL))
-    rank = np.full(lam.size, usable)
-    rank[sort_spectrum(lam)[:usable]] = np.arange(usable)
-    return rank.reshape(lam.shape), usable
-
-
-def _truncation_errors(coef, lam, target, borders, max_terms):
+def _truncation_errors(coef, plan, target, max_terms):
     """Squared errors after keeping k = 1..K usable indices in spectral order.
 
     With w = coef/lam the filtered coefficients and t the reference's
@@ -449,17 +484,17 @@ def _truncation_errors(coef, lam, target, borders, max_terms):
     and the S.S parts backward, so no sum cancels down to a noiseless
     tail.
     """
-    rank, size = _spectral_rank(lam)
+    rank, size = plan.rank()
     total = size if max_terms is None else min(size, max_terms)
-    target = target.reshape((-1,) + lam.shape)
+    target = target.reshape((-1,) + rank.shape)
     resid = np.zeros_like(target)
-    np.divide(coef.reshape(target.shape), lam, out=resid, where=rank < size)
+    np.divide(coef.reshape(target.shape), plan.lam, out=resid, where=rank < size)
     resid -= target
     # each entry with itself: kept from step rank + 1 on, else unkept
     flat_rank = rank.ravel()
     forward = np.bincount(flat_rank + 1, _channel_dot(resid, resid).ravel(), size + 2)
     backward = np.bincount(flat_rank, _channel_dot(target, target).ravel(), size + 2)
-    for ix, iy, w in _gram_pairs(borders):
+    for ix, iy, w in _gram_pairs(plan.borders):
         rank_x, rank_y = rank[ix], rank[iy]
         px, tx = resid[(_ALL,) + ix], target[(_ALL,) + ix]
         py, ty = resid[(_ALL,) + iy], target[(_ALL,) + iy]
@@ -493,25 +528,28 @@ def sweep(g, op, method, f_true, mixing=None, max_terms=None, mu_grid=None):
     truncation curve costs one sort and O(N) more work, for any N (no
     dense basis matrix is formed); each mu costs O(N).
     """
+    return _sweep(g, _plan(op, method), method, f_true, mixing, max_terms, mu_grid)
+
+
+def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
+    """sweep in a plan already built for method's basis."""
     color = mixing is not None
-    g = _check_data(g, op, color)
-    f_true = _check_data(f_true, op, color, "reference")
+    g = _check_data(g, plan.op, color)
+    f_true = _check_data(f_true, plan.op, color, "reference")
     true_norm = np.linalg.norm(f_true)
     if not true_norm > 0:
         raise InvalidParameterError("reference image must be nonzero")
     max_terms = _check_max_terms(max_terms)
     if method == "tikhonov":
         mu_grid = _check_mu_grid(mu_grid)
-    lam, analysis, _synthesis, coordinates = _filter_basis(op, method)
-    borders = _border_vectors(op, method)
-    coef = analysis(g)
-    target = coordinates(f_true)
+    coef = plan.analysis(g)
+    target = plan.coordinates(f_true)
     if method == "tikhonov":
-        damped = _tikhonov(coef, lam, mixing)
+        damped = _tikhonov(coef, plan.lam, mixing)
         params = mu_grid
-        err_sq = np.array([_gram_norm_sq(damped(mu) - target, borders) for mu in mu_grid])
+        err_sq = np.array([_gram_norm_sq(damped(mu) - target, plan.borders) for mu in mu_grid])
     else:
-        err_sq = _truncation_errors(_unmix(coef, mixing), lam, target, borders, max_terms)
+        err_sq = _truncation_errors(_unmix(coef, mixing), plan, target, max_terms)
         params = np.arange(1, err_sq.size + 1)
     rres = np.sqrt(np.maximum(err_sq, 0.0)) / true_norm
     return SweepCurve(params=params, rres=rres, method=method)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SizeMismatchError
-from .filtering import _check_data
+from .filtering import _check_data, _finite_real, _Plan
 from .imageio import _write_csv
-from .spectrum import eigen_grid_for, sort_spectrum, spectral_analysis
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -35,7 +34,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and self.rho >= 0):
+        if not (_finite_real(self.rho) and self.rho >= 0):
             raise InvalidParameterError(f"rho must be finite and >= 0, got {self.rho}")
         try:
             object.__setattr__(self, "seed", operator.index(self.seed))
@@ -171,15 +170,18 @@ def picard_data(g, op):
     coefficients : ndarray
         Matching |coefficient| values.
     """
-    g = _check_data(g, op, np.ndim(g) == 3)
-    grid = eigen_grid_for(op)
-    order = sort_spectrum(grid)
-    ghat = spectral_analysis(g, op.bc)
+    return _picard_data(g, _Plan(op, "eigen"))
+
+
+def _picard_data(g, plan):
+    """picard_data in an eigenbasis plan already built for the operator."""
+    g = _check_data(g, plan.op, np.ndim(g) == 3)
+    ghat = plan.analysis(g)
     if g.ndim == 3:
         coef = np.sqrt((ghat**2).sum(axis=0)).ravel()
     else:
         coef = np.abs(ghat).ravel()
-    return np.abs(grid.values).ravel()[order], coef[order]
+    return np.abs(plan.lam).ravel()[plan.order], coef[plan.order]
 
 
 def save_picard_csv(path, magnitudes, coefficients):

@@ -210,8 +210,12 @@ def sort_spectrum(grid):
     grid is an EigenGrid or a plain array of spectral values, such as
     the singular value products of a separable operator. Ties keep
     row-major order (stable sort), so the ordering is fully
-    deterministic and truncating after k indices always selects the
-    same set as thresholding at the magnitude of the k-th entry.
+    deterministic. Truncating after k indices selects the same set as
+    thresholding at a magnitude delta when k is the census of delta, the
+    number of entries with magnitude >= delta. On ties the two differ
+    otherwise: for magnitudes [[1, .5], [.5, .2]] and k = 2, truncation
+    keeps flat indices {0, 1}, while thresholding at the k-th magnitude
+    .5 keeps {0, 1, 2}.
     """
     values = grid.values if isinstance(grid, EigenGrid) else grid
     magnitudes = np.abs(np.asarray(values)).ravel()

@@ -7,6 +7,8 @@ import refocus as r
 from refocus.cli import main
 from refocus.operators import BoundaryCondition as BC
 
+from test_sweep import _count_calls
+
 
 def test_scene_values_and_shape():
     scene = r.low_frequency_scene((20, 30))
@@ -118,6 +120,35 @@ def test_gray_scene_with_mix_rejected(tmp_path):
                                            f"out={tmp_path / 'x'}"])
     with pytest.raises(r.ConfigError):
         r.run_experiment(config)
+
+
+@pytest.mark.parametrize("settings, error", [
+    (["method=tsvd", "psf=disk:3:2.5"], r.NotSeparableError),
+    # a 5^2 field of view: the operator takes the mask, the spectral support rule not
+    (["bc=antireflective", "psf=gaussian:3:1.0", "scene=sinusoids:11x11"],
+     r.SupportConditionError),
+])
+def test_unusable_basis_fails_before_output(tmp_path, settings, error):
+    out = tmp_path / "x"
+    config = r.load_config(None, ["scene=sinusoids:16x16", *settings, f"out={out}"])
+    with pytest.raises(error):
+        r.run_experiment(config)
+    assert not out.exists()
+
+
+def test_run_experiment_builds_each_basis_once(tmp_path, monkeypatch):
+    calls = dict.fromkeys(("eigen_grid_for", "_signed_svd", "sort_spectrum"), 0)
+    for name in calls:
+        _count_calls(monkeypatch, calls, name)
+    config = r.load_config(None, [
+        "scene=sinusoids:14x14", "psf=gaussian:1:0.8", "bc=reflective,antireflective",
+        "method=tsd,tsvd,tikhonov", "rho=0.001,0.01", f"out={tmp_path / 'x'}",
+    ])
+    r.run_experiment(config)
+    operators = 2
+    assert calls["eigen_grid_for"] == operators
+    assert calls["_signed_svd"] == 2 * operators  # one per axis
+    assert calls["sort_spectrum"] <= 2 * operators  # one per basis
 
 
 def test_run_experiment_gray(tmp_path):

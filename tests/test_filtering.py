@@ -23,6 +23,11 @@ def test_spec_validation():
         r.Tikhonov(0.0)
     with pytest.raises(r.InvalidParameterError):
         r.Tikhonov(np.inf)
+    # not a finite real number: one check, one error type for every spec
+    for bad in ("x", None, np.inf, np.nan):
+        for spec in (r.TruncateByCount, r.TruncateByThreshold, r.Tikhonov, r.NoiseSpec):
+            with pytest.raises(r.InvalidParameterError):
+                spec(bad)
 
 
 def test_full_count_inverts_model_consistent_data(gauss11):
@@ -74,6 +79,13 @@ def _keep_mask_by_sort(lam, k):
     return keep.reshape(lam.shape), int(k - nonzero.sum())
 
 
+def _plan_of(lam):
+    """A plan holding only a spectrum, all that the keep mask reads."""
+    plan = object.__new__(filtering._Plan)
+    plan.lam = lam
+    return plan
+
+
 def test_count_mask_matches_sort_reference():
     # zero values, ties and both signs; rank < k alone would keep the zeros
     mask = r.PsfMask(np.array([[0.5], [0.0], [0.5]]))
@@ -81,7 +93,7 @@ def test_count_mask_matches_sort_reference():
              np.array([[0.5, -0.5, 0.0], [1e-15, 0.25, -0.5]])]
     for lam in grids:
         for k in range(lam.size + 1):
-            keep, skipped = filtering._keep_mask(lam, r.TruncateByCount(k))
+            keep, skipped = filtering._keep_mask(_plan_of(lam), r.TruncateByCount(k))
             ref_keep, ref_skipped = _keep_mask_by_sort(lam, k)
             assert np.array_equal(keep, ref_keep) and skipped == ref_skipped
             assert type(skipped) is int

@@ -114,18 +114,20 @@ def _synthesis_kind(x, kind, axis=-1, transposed=False):
 def test_sweep_makes_no_synthesis_and_no_dense_transform(monkeypatch):
     calls = {"basis_synthesis": 0, "apply_transform": 0, "dense_transform": 0,
              "spectral_synthesis": 0}
-    real_basis = filtering._filter_basis
+    real_plan = filtering._plan
 
-    def counted_basis(op, method):
-        lam, analysis, synthesis, coordinates = real_basis(op, method)
+    def counted_plan(op, method):
+        plan = real_plan(op, method)
+        synthesis = plan.synthesis
 
         def counted_synthesis(x):
             calls["basis_synthesis"] += 1
             return synthesis(x)
 
-        return lam, analysis, counted_synthesis, coordinates
+        plan.synthesis = counted_synthesis
+        return plan
 
-    monkeypatch.setattr(filtering, "_filter_basis", counted_basis)
+    monkeypatch.setattr(filtering, "_plan", counted_plan)
     _count_calls(monkeypatch, calls, "apply_transform", _synthesis_kind)
     _count_calls(monkeypatch, calls, "dense_transform")
     _count_calls(monkeypatch, calls, "spectral_synthesis")
