@@ -120,6 +120,12 @@ class ExperimentConfig:
         for rho in self.rhos:
             if not (_finite_real(rho) and rho >= 0):
                 raise ConfigError(f"rho must be finite and >= 0, got {rho}")
+        # each (bc, method, rho) case needs its own directory, named with
+        # rho:g, and its own summary row, written with rho:.6e
+        names = [[bc.value for bc in self.bcs], list(self.methods)]
+        names += [[format(rho, spec) for rho in self.rhos] for spec in ("g", ".6e")]
+        if any(len(set(items)) < len(items) for items in names):
+            raise ConfigError(f"bc, method or rho repeats an output name: {names}")
         for name in ("seed", "mu_count"):
             value = getattr(self, name)
             try:

@@ -55,7 +55,7 @@ def _mix64(x):
 
 
 def _uniform_stream(seed, count):
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    base = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix64(base + idx * _GAMMA)
@@ -111,7 +111,7 @@ def add_noise(g, spec):
     Parameters
     ----------
     g : ndarray
-        Clean data of any shape.
+        Clean data of any shape; NaN or inf raises InvalidParameterError.
     spec : NoiseSpec
         Noise level and seed.
 
@@ -123,6 +123,8 @@ def add_noise(g, spec):
         20*log10(1/rho), infinite when rho is zero.
     """
     g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise InvalidParameterError("noise data holds NaN or inf values")
     if spec.rho == 0:
         return g.copy(), math.inf
     nu = standard_normal_field(spec.seed, g.shape)

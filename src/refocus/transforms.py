@@ -13,6 +13,14 @@ combined per axis for images:
 Long sine transforms run through a Bluestein chirp convolution with
 power-of-two FFTs, so throughput does not depend on how the transform
 length factors. Short ones call the library sine transform directly.
+
+Every public transform goes through one driver. The cosine family is
+the library DCT along the axis. The sine-family kinds walk the axis in
+blocks of lines: each block is gathered into a contiguous buffer,
+transformed there in place and written into the result. A call
+allocates its result and one block's buffers, never an image-sized
+copy, and a two-level transform runs its second pass in place on the
+first pass's result.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.fft import dct, dst, fft, ifft, next_fast_len
@@ -30,8 +38,11 @@ from .errors import InvalidParameterError, SizeGuardError, SizeMismatchError
 # Above this length the type-I sine transform switches to the Bluestein
 # path; below it the direct library call is faster.
 _SINE_DIRECT_LIMIT = 512
-# Row blocks processed per chirp-convolution batch, sized so scratch
-# buffers stay cache resident even for very long transforms.
+# Lines per block of the sine-family driver. A call allocates one block's
+# buffers once and reuses them: two real (64, m) arrays and, above the
+# direct limit, a complex (64, nfft) Bluestein scratch. That scratch is
+# 2 MiB at m = 1024 and 4 MiB at m = 2046, larger than most caches; it
+# bounds working memory and allocator traffic, not cache residency.
 _ROW_BLOCK = 64
 _DENSE_LIMIT = 4096
 
@@ -94,6 +105,7 @@ def ramp_gram(m):
     return cols
 
 
+@lru_cache(maxsize=16)
 class _SinePlan:
     """Bluestein evaluation of the orthonormal type-I sine transform.
 
@@ -101,6 +113,8 @@ class _SinePlan:
     chirp convolution of length next_fast_len(2L-1). Chirp phases are
     reduced with exact integer arithmetic before exponentiation, which
     keeps the transform accurate to machine precision at any length.
+    Plans are cached per length and never written after construction;
+    the scratch they work in belongs to the caller.
     """
 
     def __init__(self, length):
@@ -118,65 +132,104 @@ class _SinePlan:
         )
         self.kernel_f = fft(np.roll(kern, -(length - 1)))
 
-    def rows(self, block):
-        """Transform each row of a contiguous (n, length) block."""
-        spec = fft(block * self.chirp, n=self.nfft, axis=-1)
-        conv = ifft(spec * self.kernel_f, axis=-1)[:, : self.length]
+    def rows(self, rows, scratch):
+        """Transform each row of an (n, length) block in place.
+
+        scratch is a complex array of at least n rows and nfft columns;
+        its contents are overwritten.
+        """
+        work = scratch[: len(rows)]
+        np.multiply(rows, self.chirp, out=work[:, : self.length])
+        work[:, self.length :] = 0.0
+        fft(work, axis=-1, overwrite_x=True)
+        np.multiply(work, self.kernel_f, out=work)
+        ifft(work, axis=-1, overwrite_x=True)
+        conv = work[:, : self.length]
         np.multiply(conv, self.chirp, out=conv)
-        return self.scale * conv.imag
+        np.multiply(conv.imag, self.scale, out=rows)
 
 
-@lru_cache(maxsize=16)
-def _sine_plan(length):
-    return _SinePlan(length)
+def _sine_rows(rows, tmp, scratch):
+    """Type-I sine transform of each row of a block, in place.
+
+    scratch is None up to _SINE_DIRECT_LIMIT, where the library
+    transform writes into rows; tmp is unused.
+    """
+    if scratch is None:
+        dst(rows, type=1, norm="ortho", axis=-1, overwrite_x=True)
+    else:
+        _SinePlan(rows.shape[-1]).rows(rows, scratch)
 
 
-def _sine_rows(block):
-    """Type-I sine transform of each row of a 2-D contiguous block."""
-    length = block.shape[-1]
-    if length <= _SINE_DIRECT_LIMIT:
-        return dst(block, type=1, norm="ortho", axis=-1)
-    plan = _sine_plan(length)
-    out = np.empty_like(block)
-    for i in range(0, block.shape[0], _ROW_BLOCK):
-        out[i : i + _ROW_BLOCK] = plan.rows(block[i : i + _ROW_BLOCK])
-    return out
+def _ar_rows(rows, tmp, scratch, inverse):
+    """Ramp-bordered sine transform of each row of a block, in place.
+
+    The ramp corrections go through tmp, a real block at least as large
+    as the row interiors.
+    """
+    rv = ramp_vector(rows.shape[-1])
+    interior, tmp = rows[:, 1:-1], tmp[: len(rows), : rv.m - 2]
+    if inverse:
+        np.multiply(rows[:, :1], rv.p, out=tmp)
+        interior -= tmp
+        np.multiply(rows[:, -1:], rv.p[::-1], out=tmp)
+        interior -= tmp
+        _sine_rows(interior, None, scratch)
+        rows[:, ::rv.m - 1] *= rv.alpha
+    else:
+        rows[:, ::rv.m - 1] /= rv.alpha
+        _sine_rows(interior, None, scratch)
+        np.multiply(rows[:, :1], rv.p, out=tmp)
+        interior += tmp
+        np.multiply(rows[:, -1:], rv.p[::-1], out=tmp)
+        interior += tmp
 
 
-def _ar_rows(block, inverse):
-    """Ramp-bordered sine transform of each row of a contiguous block."""
-    m = block.shape[-1]
-    rv = ramp_vector(m)
-    p = rv.p
-    out = np.empty_like(block)
-    for i in range(0, block.shape[0], _ROW_BLOCK):
-        blk = block[i : i + _ROW_BLOCK]
-        dest = out[i : i + _ROW_BLOCK]
-        if inverse:
-            interior = blk[:, 1:-1] - np.multiply.outer(blk[:, 0], p)
-            interior -= np.multiply.outer(blk[:, -1], p[::-1])
-            dest[:, 1:-1] = _sine_rows(np.ascontiguousarray(interior))
-            dest[:, 0] = rv.alpha * blk[:, 0]
-            dest[:, -1] = rv.alpha * blk[:, -1]
-        else:
-            first = blk[:, 0] / rv.alpha
-            last = blk[:, -1] / rv.alpha
-            interior = _sine_rows(np.ascontiguousarray(blk[:, 1:-1]))
-            interior += np.multiply.outer(first, p)
-            interior += np.multiply.outer(last, p[::-1])
-            dest[:, 1:-1] = interior
-            dest[:, 0] = first
-            dest[:, -1] = last
-    return out
+# Row kernel of each kind and the number of ramp entries bordering each
+# line; the sine part of a line is that much shorter. The cosine kind has
+# no row kernel: the library transforms the whole axis.
+_ROW_KERNELS = {
+    TransformKind.DCT3: (None, 0),
+    TransformKind.DST1: (_sine_rows, 0),
+    TransformKind.AR: (partial(_ar_rows, inverse=False), 2),
+    TransformKind.AR_INVERSE: (partial(_ar_rows, inverse=True), 2),
+}
 
 
-def _over_axis(x, axis, rows_fn):
+def _transform(x, kind, axis=-1, transposed=False, in_place=False):
+    """Apply one transform family along one axis of x.
+
+    The one driver behind every public transform. The cosine family is
+    the library DCT. A sine-family kind walks _ROW_BLOCK lines at a time
+    along axis: each block is gathered into a contiguous buffer,
+    transformed there by the kind's row kernel and written into the
+    result. The buffers and the Bluestein scratch are allocated once per
+    call, so nothing image-sized is copied and no block allocates.
+    in_place overwrites x, which must then be a float64 array.
+    """
+    if not isinstance(kind, TransformKind):
+        raise InvalidParameterError(f"unknown transform kind {kind!r}")
+    kernel, ramps = _ROW_KERNELS[kind]
     x = np.asarray(x, dtype=float)
-    xm = np.moveaxis(x, axis, -1)
-    shape = xm.shape
-    rows = np.ascontiguousarray(xm).reshape(-1, shape[-1])
-    out = rows_fn(rows).reshape(shape)
-    return np.moveaxis(out, -1, axis)
+    m = x.shape[axis]
+    if m <= ramps:
+        raise SizeMismatchError(f"{kind.value} transform needs length >= {ramps + 1}, got {m}")
+    if kernel is None:
+        return dct(x, type=2 if transposed else 3, norm="ortho", axis=axis, overwrite_x=in_place)
+    out = x if in_place else np.empty(x.shape)
+    src, dest = (np.atleast_2d(np.moveaxis(a, axis, -1)) for a in (x, out))
+    rows = src.shape[-2]
+    lines, tmp = np.empty((2, min(rows, _ROW_BLOCK), m))
+    scratch = None
+    if m - ramps > _SINE_DIRECT_LIMIT:
+        scratch = np.empty((len(lines), _SinePlan(m - ramps).nfft), dtype=complex)
+    for lead in np.ndindex(src.shape[:-2]):
+        for i in range(0, rows, _ROW_BLOCK):
+            block = lines[: min(rows - i, _ROW_BLOCK)]
+            np.copyto(block, src[lead][i : i + _ROW_BLOCK])
+            kernel(block, tmp, scratch)
+            dest[lead][i : i + _ROW_BLOCK] = block
+    return out
 
 
 def dct3_apply(x, axis=-1, transposed=False):
@@ -191,11 +244,7 @@ def dct3_apply(x, axis=-1, transposed=False):
         If True apply the transpose (the inverse, since the family is
         orthogonal); used as the analysis step for reflective blurs.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[axis] < 1:
-        raise SizeMismatchError("transform axis must be nonempty")
-    kind = 2 if transposed else 3
-    return dct(x, type=kind, norm="ortho", axis=axis)
+    return _transform(x, TransformKind.DCT3, axis, transposed)
 
 
 def dst1_apply(x, axis=-1):
@@ -204,10 +253,7 @@ def dst1_apply(x, axis=-1):
     The matrix is orthogonal and involutory, so this routine is its own
     inverse.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[axis] < 1:
-        raise SizeMismatchError("transform axis must be nonempty")
-    return _over_axis(x, axis, _sine_rows)
+    return _transform(x, TransformKind.DST1, axis)
 
 
 def ar_apply(x, axis=-1):
@@ -218,18 +264,12 @@ def ar_apply(x, axis=-1):
     columns; the interior passes through the sine transform plus ramp
     corrections.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[axis] < 3:
-        raise SizeMismatchError("ramp-bordered transform needs length >= 3")
-    return _over_axis(x, axis, lambda rows: _ar_rows(rows, inverse=False))
+    return _transform(x, TransformKind.AR, axis)
 
 
 def ar_inverse_apply(x, axis=-1):
     """Apply the exact inverse of ar_apply along one axis."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[axis] < 3:
-        raise SizeMismatchError("ramp-bordered transform needs length >= 3")
-    return _over_axis(x, axis, lambda rows: _ar_rows(rows, inverse=True))
+    return _transform(x, TransformKind.AR_INVERSE, axis)
 
 
 def apply_transform(x, kind, axis=-1, transposed=False):
@@ -238,15 +278,7 @@ def apply_transform(x, kind, axis=-1, transposed=False):
     transposed is honored only by the cosine family; the sine family is
     its own transpose and the ramp-bordered pair is selected by kind.
     """
-    if kind is TransformKind.DCT3:
-        return dct3_apply(x, axis=axis, transposed=transposed)
-    if kind is TransformKind.DST1:
-        return dst1_apply(x, axis=axis)
-    if kind is TransformKind.AR:
-        return ar_apply(x, axis=axis)
-    if kind is TransformKind.AR_INVERSE:
-        return ar_inverse_apply(x, axis=axis)
-    raise InvalidParameterError(f"unknown transform kind {kind!r}")
+    return _transform(x, kind, axis, transposed)
 
 
 def two_level_apply(x, kind, transposed=False):
@@ -254,6 +286,7 @@ def two_level_apply(x, kind, transposed=False):
 
     Equivalent to multiplying the row-major flattening of each trailing
     2-D slice by the Kronecker product of the two one-axis matrices.
+    The second pass runs in place on the first pass's result.
 
     Parameters
     ----------
@@ -268,8 +301,8 @@ def two_level_apply(x, kind, transposed=False):
     if x.ndim < 2:
         raise SizeMismatchError("two-level transform needs a 2-D array")
     kind0, kind1 = kind if isinstance(kind, tuple) else (kind, kind)
-    out = apply_transform(x, kind0, axis=-2, transposed=transposed)
-    return apply_transform(out, kind1, axis=-1, transposed=transposed)
+    out = _transform(x, kind0, -2, transposed)
+    return _transform(out, kind1, -1, transposed, in_place=True)
 
 
 def dense_transform(kind, m):
@@ -284,4 +317,4 @@ def dense_transform(kind, m):
         raise SizeGuardError(
             f"dense transform limited to m <= {_DENSE_LIMIT}, got {m}"
         )
-    return apply_transform(np.eye(m), kind, axis=0)
+    return _transform(np.eye(m), kind, axis=0)

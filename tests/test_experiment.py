@@ -392,3 +392,21 @@ def test_cli_file_type_and_gray_mix_errors(tmp_path, capsys):
     assert not (tmp_path / "o.png").exists() and not (tmp_path / "o.txt").exists()
     err = capsys.readouterr().err
     assert "'.png'" in err and "grayscale" in err
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["method=tsd,tsd", "bc=reflective,reflective", "rho=0.01,0.010000001",
+     "rho=0.02,0.01,0.02", "rho=0.012345649999,0.01234565000001"],
+)
+def test_config_rejects_cases_sharing_an_output_name(tmp_path, setting):
+    out = tmp_path / "res"
+    overrides = ["scene=sinusoids:8x8", "psf=identity", f"out={out}", setting]
+    with pytest.raises(r.ConfigError, match="repeats an output name"):
+        r.load_config(overrides=overrides)
+    assert main(["experiment", "--out", str(out)] + [
+        arg for item in overrides for arg in ("--set", item)
+    ]) == 2
+    assert not out.exists()
+    config = r.load_config(overrides=overrides[:3] + ["rho=0.01,0.0100001"])
+    assert [f"{rho:g}" for rho in config.rhos] == ["0.01", "0.0100001"]

@@ -125,3 +125,30 @@ def test_noise_spec_accepts_integer_like_seeds():
     assert np.array_equal(r.add_noise(g, spec)[0], expected)
     with pytest.raises(r.InvalidParameterError):
         r.NoiseSpec(0.1, 3.0)
+
+
+def test_normal_field_takes_numpy_integer_seeds_modulo_2_64():
+    expected = r.standard_normal_field(-1, (2,))
+    for seed in (np.int64(-1), 2**64 - 1, np.uint64(2**64 - 1)):
+        assert r.standard_normal_field(seed, (2,)).tobytes() == expected.tobytes()
+    assert r.standard_normal_field(np.int32(42), (5,)).tobytes() == (
+        r.standard_normal_field(42, (5,)).tobytes()
+    )
+    # Python-int seeds keep their fields, bit for bit
+    pinned = {
+        0: "8fabcf99fbf9dcbf768d38db1398ca3f",
+        7: "62eecd2902d7f53f110e77dfab7fc23f",
+        -1: "4424e3b677d9d93f5ff0b1a643a3cfbf",
+        2**64 + 5: "cecb62266775943fb0f66747250df6bf",
+    }
+    for seed, hexbytes in pinned.items():
+        assert r.standard_normal_field(seed, (2,)).tobytes().hex() == hexbytes
+    with pytest.raises(TypeError):
+        r.standard_normal_field(1.5, (2,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_add_noise_rejects_non_finite_data(bad):
+    for rho in (0.1, 0.0):
+        with pytest.raises(r.InvalidParameterError, match="NaN or inf"):
+            r.add_noise([[bad, 1.0]], r.NoiseSpec(rho, 1))

@@ -136,3 +136,38 @@ def test_save_eigen_csv(tmp_path, gauss11):
     assert lines[0] == "value"
     assert len(lines) == 10
     assert float(lines[1]) == grid.values[0, 0]
+
+
+# (mask, image shape) cases for the matrix-free diagonalization check:
+# the identity at the smallest sides, prime sides, anti-reflective sine
+# interiors of 511-515 (either side of the direct-transform limit of
+# 512), 1024^2, and Gaussians that reach n - 3, the anti-reflective
+# spectral support limit
+_MATRIX_FREE_CASES = [
+    (r.identity_mask(), (3, 3)),
+    (r.identity_mask(), (5, 5)),
+    (r.identity_mask(), (3, 5)),
+    (r.gaussian_mask((2, 1), (1.0, 0.7)), (7, 11)),
+    (r.out_of_focus_mask((3, 3), 2.5), (31, 37)),
+    (r.gaussian_mask((2, 2), 1.0), (101, 13)),
+    (r.gaussian_mask((2, 2), 1.0), (513, 517)),
+    (r.out_of_focus_mask((2, 2), 1.5), (514, 516)),
+    (r.gaussian_mask((1, 2), 0.8), (515, 515)),
+    (r.out_of_focus_mask((3, 3), 3.0), (1024, 1024)),
+    (r.gaussian_mask((4, 6), (2.0, 3.0)), (7, 9)),
+    (r.gaussian_mask((8, 2), (3.0, 1.0)), (11, 5)),
+    (r.gaussian_mask((510, 2), (200.0, 1.0)), (513, 7)),
+]
+
+
+@pytest.mark.parametrize("bc", [BC.REFLECTIVE, BC.ANTIREFLECTIVE])
+@pytest.mark.parametrize("mask, shape", _MATRIX_FREE_CASES)
+def test_blur_equals_synthesis_eigen_analysis_matrix_free(mask, shape, bc):
+    op = r.BlurOperator(mask, bc, shape)
+    lam = r.eigen_grid_for(op).values
+    for stack in (shape, (3,) + shape):
+        x = r.standard_normal_field(sum(shape), stack)
+        blurred = r.apply_blur(op, x)
+        fast = r.spectral_synthesis(lam * r.spectral_analysis(x, bc), bc)
+        err = np.linalg.norm(fast - blurred) / np.linalg.norm(blurred)
+        assert err <= 1e-12, (shape, bc, stack, err)

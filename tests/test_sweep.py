@@ -107,12 +107,12 @@ def _count_calls(monkeypatch, calls, name, counts=lambda *a, **k: True):
         monkeypatch.setattr(module, name, wrapper)
 
 
-def _synthesis_kind(x, kind, axis=-1, transposed=False):
+def _synthesis_kind(x, kind, axis=-1, transposed=False, in_place=False):
     return kind is TransformKind.AR or (kind is TransformKind.DCT3 and not transposed)
 
 
 def test_sweep_makes_no_synthesis_and_no_dense_transform(monkeypatch):
-    calls = {"basis_synthesis": 0, "apply_transform": 0, "dense_transform": 0,
+    calls = {"basis_synthesis": 0, "_transform": 0, "dense_transform": 0,
              "spectral_synthesis": 0}
     real_plan = filtering._plan
 
@@ -128,7 +128,8 @@ def test_sweep_makes_no_synthesis_and_no_dense_transform(monkeypatch):
         return plan
 
     monkeypatch.setattr(filtering, "_plan", counted_plan)
-    _count_calls(monkeypatch, calls, "apply_transform", _synthesis_kind)
+    # every public transform goes through the private driver
+    _count_calls(monkeypatch, calls, "_transform", _synthesis_kind)
     _count_calls(monkeypatch, calls, "dense_transform")
     _count_calls(monkeypatch, calls, "spectral_synthesis")
     for bc in RULES:
@@ -142,7 +143,7 @@ def test_sweep_makes_no_synthesis_and_no_dense_transform(monkeypatch):
         restore(g, op, method, _spec(method, 3), mixing)
     assert calls["basis_synthesis"] == 3
     assert calls["spectral_synthesis"] == 2
-    assert calls["apply_transform"] == 4
+    assert calls["_transform"] == 4
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", np.float64(2.0)])
