@@ -29,8 +29,9 @@ from .operators import apply_blur
 class ColorMixing:
     """Pixelwise channel mixing matrix.
 
-    Rows must sum to one (within 1e-12) so that mixing preserves the
-    brightness of a gray pixel replicated across channels.
+    Entries must be finite and rows must sum to one (within 1e-12), so
+    that mixing preserves the brightness of a gray pixel replicated
+    across channels.
     """
 
     matrix: np.ndarray
@@ -39,6 +40,8 @@ class ColorMixing:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise InvalidParameterError(f"mixing matrix must be 3x3, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidParameterError("mixing matrix entries must be finite")
         if np.abs(m.sum(axis=1) - 1.0).max() > 1e-12:
             raise InvalidParameterError("mixing matrix rows must sum to 1")
         m.flags.writeable = False

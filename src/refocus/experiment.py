@@ -120,12 +120,11 @@ class ExperimentConfig:
         for rho in self.rhos:
             if not (_finite_real(rho) and rho >= 0):
                 raise ConfigError(f"rho must be finite and >= 0, got {rho}")
-        # each (bc, method, rho) case needs its own directory, named with
-        # rho:g, and its own summary row, written with rho:.6e
-        names = [[bc.value for bc in self.bcs], list(self.methods)]
-        names += [[format(rho, spec) for rho in self.rhos] for spec in ("g", ".6e")]
-        if any(len(set(items)) < len(items) for items in names):
-            raise ConfigError(f"bc, method or rho repeats an output name: {names}")
+        cases = [_case_names(b, m, r) for b in self.bcs for m in self.methods for r in self.rhos]
+        for names in zip(*cases):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ConfigError(f"bc, method or rho repeats an output name: {repeated}")
         for name in ("seed", "mu_count"):
             value = getattr(self, name)
             try:
@@ -142,6 +141,11 @@ class ExperimentConfig:
 
     def mu_grid(self):
         return log_mu_grid(self.mu_lo, self.mu_hi, self.mu_count)
+
+
+def _case_names(bc, method, rho):
+    """A case's directory name and its key in the summary table."""
+    return f"{bc.value}_{method}_rho{rho:g}", f"{bc.value},{method},{rho:.6e}"
 
 
 def _parse_int(value, what):
@@ -412,16 +416,14 @@ def run_experiment(config):
             for method in config.methods:
                 plan = plans[bc, _BASIS[method]]
                 curve, restored = _run_case(noisy, plan, mixing, method, f_true, config)
-                subdir = out / f"{bc.value}_{method}_rho{rho:g}"
+                dirname, key = _case_names(bc, method, rho)
+                subdir = out / dirname
                 subdir.mkdir(parents=True, exist_ok=True)
                 save_curve_csv(curve, subdir / "curve.csv")
                 save_picard_csv(subdir / "picard.csv", magnitudes, coefs)
                 name = "restored.ppm" if color else "restored.pgm"
                 write_image(subdir / name, restored.image, config.maxval)
-                rows.append(
-                    f"{bc.value},{method},{rho:.6e},{format_optimum(curve)},"
-                    f"{curve.best_rre:.6e}\n"
-                )
+                rows.append(f"{key},{format_optimum(curve)},{curve.best_rre:.6e}\n")
     summary = "bc,method,rho,optimum_param,rre\n" + "".join(rows)
     (out / "summary.csv").write_text(summary, encoding="ascii")
     return out

@@ -228,14 +228,6 @@ def _keep_mask(plan, spec):
     raise InvalidParameterError(f"not a truncation spec: {spec!r}")
 
 
-def _signed_svd(matrix):
-    """SVD with each left singular vector's largest entry made positive."""
-    u, s, vt = np.linalg.svd(matrix)
-    peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    sign = np.where(peaks < 0, -1.0, 1.0)
-    return u * sign, s, vt * sign[:, None]
-
-
 class _Plan:
     """One basis of one operator, built once and shared by its filters.
 
@@ -257,7 +249,7 @@ class _Plan:
             self.synthesis = lambda x: spectral_synthesis(x, op.bc)
         else:
             (u1, s1, v1t), (u2, s2, v2t) = (
-                _signed_svd(assemble_dense_1d(w, n, op.bc))
+                np.linalg.svd(assemble_dense_1d(w, n, op.bc))
                 for w, n in zip(separable_factors(op.mask), op.shape)
             )
             self.lam = np.multiply.outer(s1, s2)

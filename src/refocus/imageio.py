@@ -141,6 +141,8 @@ def write_matrix(path, values):
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise InvalidParameterError(f"matrix must be 2-D, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("matrix holds NaN or inf values")
     np.savetxt(path, values, fmt="%.17g")
 
 

@@ -13,13 +13,16 @@ color channels) pass through unchanged on the leading axes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import SizeGuardError, SizeMismatchError, SupportConditionError
-from .psf import PsfMask, require_strong_symmetry
+from .errors import (
+    InvalidParameterError, SizeGuardError, SizeMismatchError, SupportConditionError
+)
+from .psf import PsfMask, _check_mask_1d, require_strong_symmetry
 
 _DENSE_LIMIT = 20000
 _ASSEMBLE_BATCH = 512
@@ -41,6 +44,8 @@ _PAD_MODES = {
     BoundaryCondition.PERIODIC: {"mode": "wrap"},
     BoundaryCondition.ZERO: {"mode": "constant", "constant_values": 0.0},
 }
+# The rules whose spectral decompositions need strongly symmetric masks.
+_SYMMETRIC_RULES = (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTIREFLECTIVE)
 
 
 def pad(image, bc, margin):
@@ -63,6 +68,8 @@ def pad(image, bc, margin):
     image = np.asarray(image, dtype=float)
     if image.ndim < 2:
         raise SizeMismatchError("image must have at least 2 dimensions")
+    if not np.isfinite(image).all():
+        raise InvalidParameterError("image holds NaN or inf values")
     q1, q2 = int(margin[0]), int(margin[1])
     _check_support((q1, q2), image.shape[-2:], bc)
     widths = [(0, 0)] * (image.ndim - 2) + [(q1, q1), (q2, q2)]
@@ -84,14 +91,8 @@ class BlurOperator:
     shape: tuple
 
     def __post_init__(self):
-        n1, n2 = self.shape
-        if n1 < 1 or n2 < 1:
-            raise SizeMismatchError("operator shape must be positive")
-        object.__setattr__(self, "shape", (int(n1), int(n2)))
-        if self.bc in (
-            BoundaryCondition.REFLECTIVE,
-            BoundaryCondition.ANTIREFLECTIVE,
-        ):
+        object.__setattr__(self, "shape", _check_shape(self.shape))
+        if self.bc in _SYMMETRIC_RULES:
             require_strong_symmetry(self.mask)
         _check_support(self.mask.half_support, self.shape, self.bc)
 
@@ -99,6 +100,21 @@ class BlurOperator:
     def size(self):
         """Number of pixels n1 * n2."""
         return self.shape[0] * self.shape[1]
+
+
+def _check_shape(shape):
+    """The one operator-shape rule: two integer sides, each at least 1.
+
+    Returns the sides as a tuple of Python ints; raises SizeMismatchError
+    otherwise, also for a side such as 3.7 or "4" that is not an integer.
+    """
+    try:
+        sides = tuple(operator.index(n) for n in shape)
+    except TypeError:
+        sides = ()
+    if len(sides) != 2 or min(sides) < 1:
+        raise SizeMismatchError(f"operator shape must be two integers >= 1, got {shape!r}")
+    return sides
 
 
 def _check_support(reach, shape, bc, spectral=False):
@@ -218,20 +234,16 @@ def assemble_dense(op):
 
 
 def assemble_dense_1d(weights, m, bc):
-    """Dense m x m one-axis blur matrix of a symmetric 1-D mask.
+    """Dense m x m one-axis blur matrix of a 1-D mask of odd length.
 
-    Used to factor separable blurs into per-axis matrices. The margin
-    rules match the 2-D operator: reflective, periodic and zero rules
-    need q <= m, the anti-reflective rule needs q <= m - 2 with
-    off-center support inside |i| < m - 2.
+    Used to factor separable blurs into per-axis matrices. The mask and
+    margin rules match the 2-D operator: the reflective and
+    anti-reflective rules need a symmetric mask; reflective, periodic
+    and zero rules need q <= m, the anti-reflective rule needs q <= m - 2
+    with off-center support inside |i| < m - 2.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size % 2 == 0:
-        raise SizeMismatchError("1-D mask must have odd length")
+    w = _check_mask_1d(weights, symmetric=bc in _SYMMETRIC_RULES)
     q = w.size // 2
-    if bc in (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTIREFLECTIVE):
-        if np.abs(w - w[::-1]).max() > 1e-12 * np.abs(w).max():
-            raise SupportConditionError("1-D mask must be symmetric")
     _check_support((q,), (m,), bc)
     if bc is BoundaryCondition.ANTIREFLECTIVE:
         _check_support(_support_reach(w), (m,), bc, spectral=True)
@@ -264,14 +276,10 @@ def blur_oversized_scene(scene, mask):
     scene = np.asarray(scene, dtype=float)
     if scene.ndim < 2:
         raise SizeMismatchError("scene must have at least 2 dimensions")
-    q1, q2 = mask.half_support
-    n1 = scene.shape[-2] - 2 * q1
-    n2 = scene.shape[-1] - 2 * q2
-    if n1 < 1 or n2 < 1:
-        raise SizeMismatchError(
-            f"scene {scene.shape[-2:]} leaves no field of view for margins {(q1, q2)}"
-        )
-    return _correlate_valid(scene, mask.weights, (n1, n2))
+    if not np.isfinite(scene).all():
+        raise InvalidParameterError("scene holds NaN or inf values")
+    fov = fov_crop(scene, mask.half_support)
+    return _correlate_valid(scene, mask.weights, fov.shape[-2:])
 
 
 def fov_crop(scene, half_support):

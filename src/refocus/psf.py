@@ -70,10 +70,6 @@ def mask_from_weights(weights):
     PsfMask
     """
     w = np.array(weights, dtype=float)
-    if w.ndim != 2:
-        raise InvalidParameterError("weights must be 2-D")
-    if (w < 0).any():
-        raise InvalidParameterError("mask weights must be nonnegative")
     s = w.sum()
     if not s > 0:
         raise InvalidParameterError("mask weights must have positive sum")
@@ -148,15 +144,18 @@ def symmetrize(mask):
     return mask_from_weights(w)
 
 
+def _mirrored(w, axis, rtol=1e-12):
+    """The one symmetry test: w equals its own reversal along axis.
+
+    Entries may differ by at most rtol times the largest |entry|.
+    """
+    return np.abs(w - np.flip(w, axis)).max() <= rtol * np.abs(w).max()
+
+
 def is_strongly_symmetric(mask, rtol=1e-12):
     """Check weights[i1, i2] == weights[|i1|, |i2|] up to rtol."""
     w = np.asarray(mask.weights)
-    scale = np.abs(w).max()
-    tol = rtol * scale
-    return (
-        np.abs(w - w[::-1, :]).max() <= tol
-        and np.abs(w - w[:, ::-1]).max() <= tol
-    )
+    return _mirrored(w, 0, rtol) and _mirrored(w, 1, rtol)
 
 
 def require_strong_symmetry(mask, rtol=1e-12):
@@ -197,14 +196,25 @@ def generating_function(mask, x1, x2):
     return float(out[0, 0]) if scalar else out
 
 
-def generating_function_1d(weights, x):
-    """Symbol of a one-dimensional symmetric mask of length 2q+1."""
+def _check_mask_1d(weights, symmetric=True):
+    """The one 1-D mask rule; returns the weights as a float array.
+
+    Raises InvalidParameterError unless the mask is 1-D of odd length,
+    then, when symmetric is set, AsymmetricMaskError unless it equals
+    its own reversal (to 1e-12 of its largest |entry|).
+    """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size % 2 == 0:
         raise InvalidParameterError("1-D mask must have odd length")
-    q = w.size // 2
-    if np.abs(w - w[::-1]).max() > 1e-12 * np.abs(w).max():
+    if symmetric and not _mirrored(w, 0):
         raise AsymmetricMaskError("1-D mask must be symmetric")
+    return w
+
+
+def generating_function_1d(weights, x):
+    """Symbol of a one-dimensional symmetric mask of length 2q+1."""
+    w = _check_mask_1d(weights)
+    q = w.size // 2
     s = np.arange(-q, q + 1)
     out = np.cos(np.multiply.outer(np.atleast_1d(x).astype(float), s)) @ w
     return float(out[0]) if np.isscalar(x) else out

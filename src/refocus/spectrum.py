@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import InvalidParameterError, SizeGuardError, UnsupportedAlgebraError
 from .imageio import _write_csv
-from .operators import BoundaryCondition, apply_blur, _check_support, _support_reach
+from .operators import (
+    _DENSE_LIMIT, BoundaryCondition, apply_blur, _check_shape, _check_support, _support_reach
+)
 from .psf import generating_function, generating_function_1d, require_strong_symmetry
 from .transforms import TransformKind, ramp_gram, two_level_apply
-
-_ORACLE_LIMIT = 20000
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,9 @@ def eigen_from_first_column(op):
         raise UnsupportedAlgebraError(
             "first-column eigenvalue recovery requires the reflective rule"
         )
-    if op.size > _ORACLE_LIMIT:
+    if op.size > _DENSE_LIMIT:
         raise SizeGuardError(
-            f"first-column recovery limited to {_ORACLE_LIMIT} pixels"
+            f"first-column recovery limited to {_DENSE_LIMIT} pixels"
         )
     basis = np.zeros(op.shape)
     basis[0, 0] = 1.0
@@ -225,10 +225,3 @@ def sort_spectrum(grid):
 def save_eigen_csv(grid, path):
     """Write grid values row-major, one full-precision value per line."""
     _write_csv(path, "value", np.asarray(grid.values).ravel())
-
-
-def _check_shape(shape):
-    n1, n2 = int(shape[0]), int(shape[1])
-    if n1 < 1 or n2 < 1:
-        raise InvalidParameterError("grid shape must be positive")
-    return n1, n2

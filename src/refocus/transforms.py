@@ -211,6 +211,8 @@ def _transform(x, kind, axis=-1, transposed=False, in_place=False):
         raise InvalidParameterError(f"unknown transform kind {kind!r}")
     kernel, ramps = _ROW_KERNELS[kind]
     x = np.asarray(x, dtype=float)
+    if not -x.ndim <= axis < x.ndim:
+        raise InvalidParameterError(f"axis {axis} is out of range for {x.ndim}-D data")
     m = x.shape[axis]
     if m <= ramps:
         raise SizeMismatchError(f"{kind.value} transform needs length >= {ramps + 1}, got {m}")
@@ -300,9 +302,11 @@ def two_level_apply(x, kind, transposed=False):
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         raise SizeMismatchError("two-level transform needs a 2-D array")
-    kind0, kind1 = kind if isinstance(kind, tuple) else (kind, kind)
-    out = _transform(x, kind0, -2, transposed)
-    return _transform(out, kind1, -1, transposed, in_place=True)
+    kinds = kind if isinstance(kind, tuple) else (kind, kind)
+    if len(kinds) != 2:
+        raise InvalidParameterError(f"kind must be one TransformKind or a pair, got {kind!r}")
+    out = _transform(x, kinds[0], -2, transposed)
+    return _transform(out, kinds[1], -1, transposed, in_place=True)
 
 
 def dense_transform(kind, m):

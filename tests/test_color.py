@@ -21,6 +21,11 @@ def test_mixing_validation():
     bad[0, 0] = 0.9
     with pytest.raises(r.InvalidParameterError):
         r.ColorMixing(bad)
+    for value in (np.nan, np.inf):
+        bad = np.eye(3)
+        bad[0, 0] = value
+        with pytest.raises(r.InvalidParameterError, match="finite"):
+            r.ColorMixing(bad)
     assert np.array_equal(r.identity_mixing().matrix, np.eye(3))
 
 

@@ -137,7 +137,7 @@ def test_unusable_basis_fails_before_output(tmp_path, settings, error):
 
 
 def test_run_experiment_builds_each_basis_once(tmp_path, monkeypatch):
-    calls = dict.fromkeys(("eigen_grid_for", "_signed_svd", "sort_spectrum"), 0)
+    calls = dict.fromkeys(("eigen_grid_for", "assemble_dense_1d", "sort_spectrum"), 0)
     for name in calls:
         _count_calls(monkeypatch, calls, name)
     config = r.load_config(None, [
@@ -147,7 +147,7 @@ def test_run_experiment_builds_each_basis_once(tmp_path, monkeypatch):
     r.run_experiment(config)
     operators = 2
     assert calls["eigen_grid_for"] == operators
-    assert calls["_signed_svd"] == 2 * operators  # one per axis
+    assert calls["assemble_dense_1d"] == 2 * operators  # one per axis of each svd plan
     assert calls["sort_spectrum"] <= 2 * operators  # one per basis
 
 
@@ -338,6 +338,18 @@ def test_cli_rejects_non_finite_matrix(tmp_path, capsys):
     assert code == 2
     assert not (tmp_path / "o.txt").exists()
     capsys.readouterr()
+
+
+def test_cli_rejects_non_finite_mix(tmp_path, capsys):
+    image = tmp_path / "img.ppm"
+    r.write_image(image, r.low_frequency_scene_color((8, 8)))
+    common = ["--image", str(image), "--psf", "gaussian:1:0.8", "--bc", "reflective",
+              "--mix", "nan,0.5,0.5,0,1,0,0,0,1", "--out", str(tmp_path / "o.ppm")]
+    for argv in (["blur"], ["restore", "--method", "tsd", "--count", "10"],
+                 ["restore", "--method", "tikhonov", "--mu", "1e-3"]):
+        assert main(argv + common) == 2
+        assert "mixing matrix entries must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.ppm").exists()
 
 
 @pytest.mark.parametrize(

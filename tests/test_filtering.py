@@ -99,24 +99,37 @@ def test_count_mask_matches_sort_reference():
             assert type(skipped) is int
 
 
-def _signed_svd_by_column(matrix):
-    """Reference: flip each column whose largest entry is negative."""
-    u, s, vt = np.linalg.svd(matrix)
-    for k in range(u.shape[1]):
-        if u[np.argmax(np.abs(u[:, k])), k] < 0:
-            u[:, k] = -u[:, k]
-            vt[k, :] = -vt[k, :]
-    return u, s, vt
+def _tsvd_outputs(op, g, f, mixing):
+    """Restores by count and by threshold, and the sweep curve, of tsvd."""
+    outs = [filtering.restore(g, op, "tsvd", spec, mixing).image
+            for spec in (r.TruncateByCount(60), r.TruncateByThreshold(0.05))]
+    curve = filtering.sweep(g, op, "tsvd", f, mixing)
+    return [a.tobytes() for a in outs + [curve.params, curve.rres]]
 
 
-def test_signed_svd_matches_column_loop_bitwise():
-    rng = np.random.default_rng(0)
-    mats = [rng.standard_normal((m, m)) for m in (1, 3, 8, 31)]
-    mats += [r.assemble_dense_1d(np.array([0.25, 0.5, 0.25]), 12, bc)
-             for bc in (BC.REFLECTIVE, BC.ANTIREFLECTIVE)]
-    for a in mats:
-        for got, want in zip(filtering._signed_svd(a), _signed_svd_by_column(a)):
-            assert got.tobytes() == want.tobytes()
+def test_svd_signs_change_no_output(gauss22, mix_matrix, monkeypatch):
+    # a singular pair enters every output only through products holding
+    # both u_k and v_k, and negating a float is exact, so flipping the
+    # signs LAPACK chose moves no bit
+    real_svd = np.linalg.svd
+    rng = np.random.default_rng(3)
+    cases = []
+    for bc in (BC.REFLECTIVE, BC.ANTIREFLECTIVE):
+        op = r.BlurOperator(gauss22, bc, (13, 11))
+        for mixing in (None, mix_matrix):
+            f = rng.random(((3,) if mixing else ()) + op.shape)
+            g = rng.random(f.shape)
+            cases.append((op, g, f, mixing, _tsvd_outputs(op, g, f, mixing)))
+    for flip in (lambda k: k % 2 == 0, lambda k: True):
+        def flipped_svd(matrix):
+            u, s, vt = real_svd(matrix)
+            sign = np.array([-1.0 if flip(k) else 1.0 for k in range(s.size)])
+            return u * sign, s, vt * sign[:, None]
+
+        monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+        for op, g, f, mixing, want in cases:
+            assert _tsvd_outputs(op, g, f, mixing) == want
+        monkeypatch.undo()
 
 
 def test_tikhonov_matches_dense_regularized_solve(gauss11, cross_mask):

@@ -150,6 +150,16 @@ def test_matrix_errors(tmp_path):
         r.write_matrix(path, np.zeros((2, 2, 2)))
 
 
+def test_write_matrix_rejects_non_finite_before_writing(tmp_path):
+    for value in (np.nan, np.inf):
+        values = np.full((3, 4), 0.5)
+        values[1, 2] = value
+        path = tmp_path / "bad.txt"
+        with pytest.raises(r.InvalidParameterError):
+            r.write_matrix(path, values)
+        assert not path.exists()
+
+
 def test_read_matrix_rejects_non_finite(tmp_path):
     for token in ("nan", "inf", "-inf"):
         path = tmp_path / f"{token}.txt"

@@ -102,6 +102,46 @@ def test_dense_1d_antireflective_first_row():
     assert np.array_equal(dense[-1], [0.0, 0.0, 0.0, 1.0])
 
 
+_EVEN_1D = np.array([0.5, 0.5])
+_LOPSIDED_1D = np.array([0.2, 0.5, 0.3])
+_SPECTRAL_RULES = (BC.REFLECTIVE, BC.ANTIREFLECTIVE)
+_SHAPE_ENTRIES = [
+    lambda shape: r.BlurOperator(r.identity_mask(), BC.REFLECTIVE, shape),
+    lambda shape: r.eigen_grid_reflective(r.identity_mask(), shape),
+    lambda shape: r.eigen_grid_tau(r.identity_mask(), shape),
+    lambda shape: r.eigen_grid_ar(r.identity_mask(), shape),
+]
+
+
+@pytest.mark.parametrize("entries, error", [
+    # an even 1-D length: every entry that takes a 1-D mask, under every rule
+    ([lambda: r.generating_function_1d(_EVEN_1D, 0.0), lambda: r.tau_eigenvalues(_EVEN_1D, 4)]
+     + [lambda bc=bc: r.assemble_dense_1d(_EVEN_1D, 4, bc) for bc in BC],
+     r.InvalidParameterError),
+    # a lopsided 1-D mask: every entry whose rule needs a symmetric mask
+    ([lambda: r.generating_function_1d(_LOPSIDED_1D, 0.0),
+      lambda: r.tau_eigenvalues(_LOPSIDED_1D, 4)]
+     + [lambda bc=bc: r.assemble_dense_1d(_LOPSIDED_1D, 4, bc) for bc in _SPECTRAL_RULES],
+     r.AsymmetricMaskError),
+    # a non-integer side, and a non-positive one: every operator or grid shape
+    ([lambda e=e, s=s: e(s) for e in _SHAPE_ENTRIES for s in ((3.7, 5), (5, "4"))],
+     r.SizeMismatchError),
+    ([lambda e=e, s=s: e(s) for e in _SHAPE_ENTRIES for s in ((0, 5), (5, -2))],
+     r.SizeMismatchError),
+], ids=["even-1d-length", "lopsided-1d-mask", "non-integer-side", "non-positive-side"])
+def test_each_rule_raises_its_one_error_from_every_entry(entries, error):
+    for entry in entries:
+        with pytest.raises(error) as info:
+            entry()
+        assert type(info.value) is error
+
+
+def test_averaging_rules_take_a_lopsided_1d_mask():
+    for bc in (BC.PERIODIC, BC.ZERO):
+        dense = r.assemble_dense_1d(_LOPSIDED_1D, 4, bc)
+        assert np.array_equal(dense[:, 1], _LOPSIDED_1D[::-1].tolist() + [0.0])
+
+
 def test_blur_oversized_scene_matches_scipy(gauss22):
     scene = rough_image((11, 12))
     ours = r.blur_oversized_scene(scene, gauss22)
@@ -120,6 +160,18 @@ def test_blur_of_padded_fov_equals_operator(gauss22):
         assert np.array_equal(
             r.blur_oversized_scene(scene, gauss22), r.apply_blur(op, f)
         )
+
+
+def test_blur_entries_reject_non_finite(gauss11):
+    x = rough_image((6, 7))
+    x[2, 3] = np.nan
+    op = r.BlurOperator(gauss11, BC.REFLECTIVE, (6, 7))
+    scene = r.pad(rough_image((6, 7)), BC.REFLECTIVE, (1, 1))
+    scene[0, 0] = -np.inf
+    for call in (lambda: r.pad(x, BC.ZERO, (1, 1)), lambda: r.apply_blur(op, x),
+                 lambda: r.blur_oversized_scene(scene, gauss11)):
+        with pytest.raises(r.InvalidParameterError, match="NaN or inf"):
+            call()
 
 
 def test_fov_crop():

@@ -297,6 +297,20 @@ def test_unknown_kind_and_short_axes_rejected():
         r.ar_inverse_apply(np.ones((4, 2)), axis=1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: r.dct3_apply(np.ones(4), axis=3),
+    lambda: r.dst1_apply(np.ones((4, 4)), axis=2),
+    lambda: r.ar_apply(np.ones((4, 4)), axis=-3),
+    lambda: r.ar_inverse_apply(np.ones((2, 4, 4)), axis=-4),
+    lambda: r.apply_transform(np.ones(4), TransformKind.DST1, axis=1),
+    lambda: r.two_level_apply(np.ones((4, 4)), (TransformKind.DCT3,)),
+    lambda: r.two_level_apply(np.ones((4, 4)), (TransformKind.AR,) * 3),
+], ids=["dct3", "dst1", "ar", "ar_inverse", "apply_transform", "one-kind", "three-kinds"])
+def test_axis_out_of_range_and_kind_not_a_pair_rejected(call):
+    with pytest.raises(r.InvalidParameterError):
+        call()
+
+
 def test_two_level_memory_is_output_plus_one_block():
     x = r.standard_normal_field(3, (1024, 1024))
     r.two_level_apply(x, TransformKind.AR)  # warm the plan caches
