@@ -53,13 +53,14 @@ def _prepare(args):
 
 
 def _cmd_blur(args):
+    noise = NoiseSpec(args.rho, args.seed)
     image, op, mixing = _prepare(args)
     if image.ndim == 3:
         blurred = cross_channel_blur(image, mixing, op)
     else:
         blurred = apply_blur(op, image)
-    if args.rho > 0:
-        blurred, _snr = add_noise(blurred, NoiseSpec(args.rho, args.seed))
+    if noise.rho > 0:
+        blurred, _snr = add_noise(blurred, noise)
     write_by_suffix(args.out, blurred, args.maxval)
     print(f"wrote {args.out}")
     return 0

@@ -3,7 +3,15 @@
 All classes derive from ValueError so call sites that only care about
 "bad input" can catch a single base type. The CLI maps ConfigError and
 file-format problems to exit code 2 and numeric failures to exit code 3.
+
+The two scalar rules live here too, since every module imports this
+one: each size, count, seed, width, weight and level passes through
+`_check_int` or `_check_real` where it enters the API.
 """
+
+import math
+import numbers
+import operator
 
 
 class InvalidParameterError(ValueError):
@@ -58,3 +66,33 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration is incomplete or inconsistent."""
+
+
+def _check_int(value, name, low=None):
+    """The one integer rule: value as a Python int of at least low.
+
+    operator.index must accept value, so Python and numpy integers pass
+    and 3.7, 2.0, "4" and None do not. Raises InvalidParameterError
+    naming the parameter.
+    """
+    try:
+        number = operator.index(value)
+        if low is None or number >= low:
+            return number
+    except TypeError:
+        pass
+    bound = "" if low is None else f" >= {low}"
+    raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_real(value, name, low=0, strict=True):
+    """The one finite-real rule: value > low (>= low unless strict).
+
+    value must be a finite numbers.Real; it is returned unchanged.
+    Raises InvalidParameterError naming the parameter.
+    """
+    finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not (finite and (value > low if strict else value >= low)):
+        sign = ">" if strict else ">="
+        raise InvalidParameterError(f"{name} must be finite and {sign} {low}, got {value!r}")
+    return value

@@ -11,14 +11,13 @@ bytes.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .color import ColorMixing, identity_mixing
-from .errors import ConfigError, SizeMismatchError
+from .errors import ConfigError, SizeMismatchError, _check_int, _check_real
 from .filtering import (
     _BASIS,
     DEFAULT_MU_RANGE,
@@ -26,7 +25,6 @@ from .filtering import (
     Tikhonov,
     TruncateByCount,
     _check_max_terms,
-    _finite_real,
     _mix,
     _Plan,
     _restore,
@@ -36,7 +34,9 @@ from .filtering import (
 )
 from .imageio import _MAXVALS, read_image, read_matrix, write_image, write_matrix
 from .metrics import NoiseSpec, _picard_data, add_noise, save_picard_csv
-from .operators import BlurOperator, BoundaryCondition, blur_oversized_scene, fov_crop
+from .operators import (
+    BlurOperator, BoundaryCondition, _check_shape, blur_oversized_scene, fov_crop
+)
 from .psf import gaussian_mask, identity_mask, load_mask, out_of_focus_mask
 
 
@@ -61,9 +61,7 @@ def low_frequency_scene_color(shape):
 
 
 def _scene_channel(shape, amp, phase):
-    n1, n2 = int(shape[0]), int(shape[1])
-    if n1 < 1 or n2 < 1:
-        raise ConfigError(f"scene shape must be positive, got {shape}")
+    n1, n2 = _check_shape(shape)
     u = np.linspace(0.0, 1.0, n1)[:, None]
     v = np.linspace(0.0, 1.0, n2)[None, :]
     return (
@@ -117,25 +115,20 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {method!r}, expected {METHODS}")
         if not self.rhos:
             raise ConfigError("at least one noise level is required")
-        for rho in self.rhos:
-            if not (_finite_real(rho) and rho >= 0):
-                raise ConfigError(f"rho must be finite and >= 0, got {rho}")
+        try:
+            for rho in self.rhos:
+                _check_real(rho, "rho", strict=False)
+            for name in ("seed", "mu_count", "maxval"):
+                object.__setattr__(self, name, _check_int(getattr(self, name), name))
+            self.mu_grid()
+            object.__setattr__(self, "max_terms", _check_max_terms(self.max_terms))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         cases = [_case_names(b, m, r) for b in self.bcs for m in self.methods for r in self.rhos]
         for names in zip(*cases):
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise ConfigError(f"bc, method or rho repeats an output name: {repeated}")
-        for name in ("seed", "mu_count"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigError(f"{name} must be an int, got {value!r}") from None
-        try:
-            self.mu_grid()
-            object.__setattr__(self, "max_terms", _check_max_terms(self.max_terms))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
         if self.maxval not in _MAXVALS:
             raise ConfigError(f"maxval must be one of {_MAXVALS}")
 
@@ -366,7 +359,7 @@ def _run_case(g, plan, mixing, method, f_true, config):
     if method == "tikhonov":
         best = Tikhonov(float(curve.best_param))
     else:
-        best = TruncateByCount(int(curve.best_param))
+        best = TruncateByCount(curve.best_param)
     return curve, _restore(g, plan, method, best, mixing)
 
 

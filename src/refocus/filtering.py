@@ -4,9 +4,12 @@ Every routine works in the eigenbasis of the blur operator (or, for
 separable masks, in the singular bases of the two 1-D factors): analyze
 the data, damp or drop the unstable coefficients, divide by the spectrum
 and synthesize. Truncation can be requested by count or by magnitude
-threshold; both select exactly the same coefficients when the count
-matches the threshold's census, including on ties, because the spectrum
-ordering is deterministic.
+threshold. Neither inverts a spectral value below ZERO_SPECTRUM_TOL;
+each reports the ones it reached as skipped zeros. So when the count
+matches the threshold's census (the number of values of magnitude at
+least delta), both keep exactly the same coefficients and skip the same
+zeros, including on ties, because the spectrum ordering is
+deterministic.
 
 For the anti-reflective rule the Tikhonov formula keeps the operator's
 own basis instead of forming adjoint normal equations, which is what
@@ -38,16 +41,15 @@ plus O(N) work, and each Tikhonov weight on a mu grid costs O(N).
 
 from __future__ import annotations
 
-import math
-import numbers
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularMixingError, SizeMismatchError
+from .errors import (
+    InvalidParameterError, SingularMixingError, SizeMismatchError, _check_int, _check_real
+)
 from .imageio import _write_csv
 from .operators import assemble_dense_1d
 from .psf import separable_factors
@@ -59,8 +61,9 @@ from .spectrum import (
     synthesis_gram,
 )
 
-# Spectral values smaller than this are treated as exact zeros and never
-# inverted; count-based truncation skips them and reports how many.
+# Spectral values smaller than this in magnitude are treated as exact
+# zeros and never inverted, by either truncation: a count or a threshold
+# that reaches them skips them and reports how many (_usable).
 ZERO_SPECTRUM_TOL = 1e-14
 
 # The basis each method filters in: the operator's own eigenbasis, or the
@@ -72,11 +75,6 @@ METHODS = tuple(_BASIS)
 DEFAULT_MU_RANGE = (1e-8, 1.0, 40)
 
 
-def _finite_real(value):
-    """True if value is a finite real number (a Python or numpy scalar)."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class TruncateByCount:
     """Keep the k spectrally largest coefficients."""
@@ -84,9 +82,7 @@ class TruncateByCount:
     k: int
 
     def __post_init__(self):
-        if not _finite_real(self.k) or self.k != int(self.k) or self.k < 0:
-            raise InvalidParameterError(f"count must be a nonnegative int, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _check_int(self.k, "count", 0))
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,7 @@ class TruncateByThreshold:
     delta: float
 
     def __post_init__(self):
-        if not (_finite_real(self.delta) and self.delta > 0):
-            raise InvalidParameterError(f"threshold must be finite and > 0, got {self.delta!r}")
+        _check_real(self.delta, "threshold")
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,7 @@ class Tikhonov:
     mu: float
 
     def __post_init__(self):
-        if not (_finite_real(self.mu) and self.mu > 0):
-            raise InvalidParameterError(f"mu must be finite and > 0, got {self.mu!r}")
+        _check_real(self.mu, "mu")
 
 
 FilterSpec = Union[TruncateByCount, TruncateByThreshold, Tikhonov]
@@ -212,10 +206,19 @@ def _tikhonov(coef, lam, mixing):
     return damped
 
 
+def _usable(magnitudes, floor=0.0):
+    """The one usable-value rule: magnitudes at least floor and ZERO_SPECTRUM_TOL."""
+    return magnitudes >= max(floor, ZERO_SPECTRUM_TOL)
+
+
 def _keep_mask(plan, spec):
     """Boolean mask of retained indices plus skipped-zero count."""
     if isinstance(spec, TruncateByThreshold):
-        return np.abs(plan.lam) >= spec.delta, 0
+        magnitudes = np.abs(plan.lam)
+        keep = _usable(magnitudes, spec.delta)
+        if spec.delta >= ZERO_SPECTRUM_TOL:
+            return keep, 0
+        return keep, int(np.count_nonzero(magnitudes >= spec.delta) - np.count_nonzero(keep))
     if isinstance(spec, TruncateByCount):
         if spec.k > plan.lam.size:
             raise InvalidParameterError(
@@ -269,7 +272,7 @@ class _Plan:
         Indices whose spectral value is below ZERO_SPECTRUM_TOL are never
         kept; their rank is the usable count itself.
         """
-        usable = int(np.count_nonzero(np.abs(self.lam) >= ZERO_SPECTRUM_TOL))
+        usable = int(np.count_nonzero(_usable(np.abs(self.lam))))
         rank = np.full(self.lam.size, usable)
         rank[self.order[:usable]] = np.arange(usable)
         return rank.reshape(self.lam.shape), usable
@@ -382,17 +385,7 @@ def truncated_svd_restore(g, op, spec):
 
 def _check_max_terms(max_terms):
     """None, or an integer-like count of at least 1, as a Python int."""
-    if max_terms is None:
-        return None
-    try:
-        count = operator.index(max_terms)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise InvalidParameterError(
-            f"max_terms must be None or an int >= 1, got {max_terms!r}"
-        )
-    return count
+    return None if max_terms is None else _check_int(max_terms, "max_terms", 1)
 
 
 # Border rows/columns 0 and m-1 of one axis, as slices so indexing keeps
@@ -576,8 +569,7 @@ def default_mu_grid():
 def log_mu_grid(lo, hi, count):
     """count log-spaced weights from lo to hi, checked as sweep checks a grid."""
     ends = _check_mu_grid((lo, hi))
-    if count < 1:
-        raise InvalidParameterError(f"mu count must be >= 1, got {count!r}")
+    count = _check_int(count, "mu count", 1)
     return _check_mu_grid(np.logspace(*np.log10(ends), count))
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SizeMismatchError
-from .filtering import _check_data, _finite_real, _Plan
+from .errors import InvalidParameterError, SizeMismatchError, _check_int, _check_real
+from .filtering import _check_data, _Plan
 from .imageio import _write_csv
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -34,14 +34,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_finite_real(self.rho) and self.rho >= 0):
-            raise InvalidParameterError(f"rho must be finite and >= 0, got {self.rho}")
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise InvalidParameterError(
-                f"seed must be an int, got {self.seed!r}"
-            ) from None
+        _check_real(self.rho, "rho", strict=False)
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
 
 
 def _mix64(x):
@@ -96,7 +90,8 @@ def standard_normal_field(seed, shape):
 
 
 def snr_from_rho(rho):
-    """Signal to noise ratio in dB for a relative noise level rho."""
+    """Signal to noise ratio in dB for a finite relative noise level rho >= 0."""
+    _check_real(rho, "rho", strict=False)
     if rho == 0:
         return math.inf
     return 20.0 * math.log10(1.0 / rho)

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    InvalidParameterError, SizeGuardError, SizeMismatchError, SupportConditionError
+    InvalidParameterError, SizeGuardError, SizeMismatchError, SupportConditionError, _check_int
 )
 from .psf import PsfMask, _check_mask_1d, require_strong_symmetry
 
@@ -57,7 +57,8 @@ def pad(image, bc, margin):
         Array of shape (..., n1, n2).
     bc : BoundaryCondition
     margin : tuple of int
-        Widths (q1, q2) added before and after each of the two axes.
+        Nonnegative widths (q1, q2) added before and after each of the
+        two axes.
         The anti-reflective rule needs margin_j <= n_j - 2 so every
         extension sample references pixels that exist.
 
@@ -70,7 +71,7 @@ def pad(image, bc, margin):
         raise SizeMismatchError("image must have at least 2 dimensions")
     if not np.isfinite(image).all():
         raise InvalidParameterError("image holds NaN or inf values")
-    q1, q2 = int(margin[0]), int(margin[1])
+    q1, q2 = (_check_int(q, "margin", 0) for q in margin)
     _check_support((q1, q2), image.shape[-2:], bc)
     widths = [(0, 0)] * (image.ndim - 2) + [(q1, q1), (q2, q2)]
     return np.pad(image, widths, **_PAD_MODES[bc])
@@ -124,14 +125,12 @@ def _check_support(reach, shape, bc, spectral=False):
     axis j, must be 0 or at most n_j; n_j - 2 under the anti-reflective
     rule, so every extension sample references pixels that exist; and
     n_j - 3 for its spectral decomposition (spectral=True), so boundary
-    corrections stay off the sine-algebra interior block.
+    corrections stay off the sine-algebra interior block. Each reach is
+    a nonnegative int, checked by the caller.
     """
     slack = 0
     if bc is BoundaryCondition.ANTIREFLECTIVE:
         slack = 3 if spectral else 2
-    reach, shape = tuple(int(q) for q in reach), tuple(shape)
-    if min(reach) < 0:
-        raise SupportConditionError("margins must be nonnegative")
     if any(q > 0 and q > n - slack for q, n in zip(reach, shape)):
         raise SupportConditionError(
             f"{'mask support' if spectral else 'margin'} {reach} too wide for"
@@ -142,7 +141,7 @@ def _check_support(reach, shape, bc, spectral=False):
 def _support_reach(weights):
     """Largest |offset| from the center per axis over the nonzero weights."""
     w = np.asarray(weights)
-    return tuple(np.abs(np.argwhere(w != 0) - np.array(w.shape) // 2).max(axis=0))
+    return tuple(np.abs(np.argwhere(w != 0) - np.array(w.shape) // 2).max(axis=0).tolist())
 
 
 def _correlate_valid(extended, weights, out_shape):
@@ -242,6 +241,7 @@ def assemble_dense_1d(weights, m, bc):
     and zero rules need q <= m, the anti-reflective rule needs q <= m - 2
     with off-center support inside |i| < m - 2.
     """
+    m = _check_int(m, "matrix size", 1)
     w = _check_mask_1d(weights, symmetric=bc in _SYMMETRIC_RULES)
     q = w.size // 2
     _check_support((q,), (m,), bc)
@@ -285,7 +285,7 @@ def blur_oversized_scene(scene, mask):
 def fov_crop(scene, half_support):
     """Central crop of a scene by the mask margins: the field of view."""
     scene = np.asarray(scene, dtype=float)
-    q1, q2 = int(half_support[0]), int(half_support[1])
+    q1, q2 = (_check_int(q, "half support", 0) for q in half_support)
     if scene.shape[-2] <= 2 * q1 or scene.shape[-1] <= 2 * q2:
         raise SizeMismatchError(f"scene {scene.shape} too small for margins {(q1, q2)}")
     rows = slice(q1, scene.shape[-2] - q1) if q1 else slice(None)

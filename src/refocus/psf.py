@@ -18,6 +18,8 @@ from .errors import (
     FormatError,
     InvalidParameterError,
     NotSeparableError,
+    _check_int,
+    _check_real,
 )
 
 
@@ -89,16 +91,15 @@ def gaussian_mask(half_support, sigma):
     half_support : tuple of int
         Half widths (q1, q2), both nonnegative.
     sigma : float or tuple of float
-        Standard deviation per axis, strictly positive.
+        Standard deviation per axis, finite and strictly positive.
 
     Returns
     -------
     PsfMask
     """
-    q1, q2 = _check_half_support(half_support)
-    s1, s2 = (sigma, sigma) if np.isscalar(sigma) else sigma
-    if not (s1 > 0 and s2 > 0):
-        raise InvalidParameterError("sigma must be positive")
+    q1, q2 = (_check_int(q, "half support", 0) for q in half_support)
+    pair = (sigma, sigma) if np.isscalar(sigma) else sigma
+    s1, s2 = (_check_real(s, "sigma") for s in pair)
     # Evaluate one quadrant and mirror it so symmetric entries are
     # bitwise identical.
     g1 = np.exp(-0.5 * (np.arange(q1 + 1) / s1) ** 2)
@@ -115,16 +116,15 @@ def out_of_focus_mask(half_support, radius):
     half_support : tuple of int
         Half widths (q1, q2).
     radius : float
-        Disk radius, strictly positive. The center always lies inside,
-        so the mask is never empty.
+        Disk radius, finite and strictly positive. The center always
+        lies inside, so the mask is never empty.
 
     Returns
     -------
     PsfMask
     """
-    q1, q2 = _check_half_support(half_support)
-    if not radius > 0:
-        raise InvalidParameterError("radius must be positive")
+    q1, q2 = (_check_int(q, "half support", 0) for q in half_support)
+    _check_real(radius, "radius")
     quad = (
         np.add.outer(np.arange(q1 + 1) ** 2, np.arange(q2 + 1) ** 2)
         <= radius**2
@@ -307,15 +307,6 @@ def load_mask(path):
     w = np.array(rows)
     raw_sum = float(w.sum())
     return mask_from_weights(w), raw_sum
-
-
-def _check_half_support(half_support):
-    q1, q2 = half_support
-    if q1 != int(q1) or q2 != int(q2) or q1 < 0 or q2 < 0:
-        raise InvalidParameterError(
-            f"half support must be nonnegative integers, got {half_support!r}"
-        )
-    return int(q1), int(q2)
 
 
 def _mirror_quadrant(quad):

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, SizeGuardError, UnsupportedAlgebraError
+from .errors import InvalidParameterError, SizeGuardError, UnsupportedAlgebraError, _check_int
 from .imageio import _write_csv
 from .operators import (
     _DENSE_LIMIT, BoundaryCondition, apply_blur, _check_shape, _check_support, _support_reach
@@ -79,8 +79,7 @@ def tau_eigenvalues(weights, m):
     m : int
         Matrix size; samples the symbol at r*pi/(m+1), r = 1..m.
     """
-    if m < 1:
-        raise InvalidParameterError("matrix size must be positive")
+    m = _check_int(m, "matrix size", 1)
     x = np.arange(1, m + 1) * np.pi / (m + 1)
     return generating_function_1d(weights, x)
 

@@ -33,7 +33,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.fft import dct, dst, fft, ifft, next_fast_len
 
-from .errors import InvalidParameterError, SizeGuardError, SizeMismatchError
+from .errors import InvalidParameterError, SizeGuardError, SizeMismatchError, _check_int
 
 # Above this length the type-I sine transform switches to the Bluestein
 # path; below it the direct library call is faster.
@@ -79,8 +79,7 @@ class RampVector:
 @lru_cache(maxsize=64)
 def ramp_vector(m):
     """Return the cached RampVector for size m (m >= 3)."""
-    if m < 3:
-        raise InvalidParameterError(f"ramp transform needs m >= 3, got {m}")
+    m = _check_int(m, "ramp transform size", 3)
     j = np.arange(1, m - 1)
     p = 1.0 - j / (m - 1)
     alpha = math.sqrt(1.0 + math.fsum(p * p))
@@ -315,8 +314,7 @@ def dense_transform(kind, m):
     Returns the m x m matrix whose action equals apply_transform along
     a length-m axis.
     """
-    if m < 1:
-        raise InvalidParameterError("transform size must be positive")
+    m = _check_int(m, "transform size", 1)
     if m > _DENSE_LIMIT:
         raise SizeGuardError(
             f"dense transform limited to m <= {_DENSE_LIMIT}, got {m}"

@@ -266,6 +266,22 @@ def test_cli_sweep_rejects_bad_max_terms(tmp_path, capsys):
     assert "max_terms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--rho", "-0.5"], ["--rho", "nan"], ["--rho", "inf"], ["--psf", "gaussian:1:inf"],
+    ["--psf", "disk:1:inf"], ["--psf", "gaussian:1.5:1"],
+])
+def test_cli_blur_rejects_bad_levels_and_widths(tmp_path, capsys, flags):
+    truth = tmp_path / "truth.txt"
+    blurred = tmp_path / "blurred.txt"
+    r.write_matrix(truth, r.low_frequency_scene((8, 8)))
+    argv = ["blur", "--image", str(truth), "--psf", "gaussian:1:0.9",
+            "--bc", "reflective", "--out", str(blurred)]
+    code = main(argv + flags)
+    assert code == 2
+    assert not blurred.exists()
+    capsys.readouterr()
+
+
 def test_cli_blur_matches_api(tmp_path):
     truth = tmp_path / "truth.txt"
     blurred = tmp_path / "blurred.txt"

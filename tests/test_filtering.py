@@ -70,6 +70,30 @@ def test_zero_eigenvalues_skipped_and_reported():
     assert np.isfinite(res.image).all()
 
 
+@pytest.mark.parametrize("method", ["tsd", "tsvd"])
+@pytest.mark.parametrize("color", [False, True], ids=["gray", "color"])
+def test_threshold_and_count_at_the_census_agree_on_zero_values(method, color, mix_matrix):
+    # cos(x1) has six eigenvalues of 6.1e-17 on a reflective 6x6 grid (six
+    # singular values of 9.3e-18); a threshold below ZERO_SPECTRUM_TOL
+    # reaches them, and so does a count
+    mask = r.PsfMask(np.array([[0.5], [0.0], [0.5]]))
+    op = r.BlurOperator(mask, BC.REFLECTIVE, (6, 6))
+    mixing = mix_matrix if color else None
+    f = rough_image((6, 6))
+    g = np.stack([f, f[::-1], f.T]) if color else f
+    lam = filtering._plan(op, method).lam
+    for delta in (1e-18, 1e-15, 0.3):
+        census = int(np.count_nonzero(np.abs(lam) >= delta))
+        by_count = filtering.restore(g, op, method, r.TruncateByCount(census), mixing)
+        by_threshold = filtering.restore(g, op, method, r.TruncateByThreshold(delta), mixing)
+        assert by_threshold.image.tobytes() == by_count.image.tobytes()
+        assert by_threshold.count_kept == by_count.count_kept
+        assert by_threshold.skipped_zero == by_count.skipped_zero
+    tiny = filtering.restore(g, op, method, r.TruncateByThreshold(1e-18), mixing)
+    assert (tiny.count_kept, tiny.skipped_zero) == (30, 6)
+    assert np.abs(tiny.image).max() < 10
+
+
 def _keep_mask_by_sort(lam, k):
     """Reference: the first k indices in spectral order, minus zero values."""
     chosen = r.sort_spectrum(lam)[:k]

@@ -5,6 +5,7 @@ import pytest
 import scipy.signal
 
 import refocus as r
+from refocus.filtering import log_mu_grid
 from refocus.operators import _TILE_BYTES, _correlate_valid
 from refocus.operators import BoundaryCondition as BC
 
@@ -113,6 +114,53 @@ _SHAPE_ENTRIES = [
 ]
 
 
+_W3 = np.array([0.25, 0.5, 0.25])
+_X6 = rough_image((6, 6))
+_OP6 = r.BlurOperator(r.identity_mask(), BC.REFLECTIVE, (6, 6))
+
+
+def _max_terms(v):
+    return r.rre_sweep(_X6, _OP6, _X6, max_terms=v)  # None means all: no bound to test
+
+
+# Each entry passes v to one integer parameter, with the bound v must reach
+# (None: any integer).
+_INT_ENTRIES = [
+    (lambda v: r.gaussian_mask((v, 1), 1.0), 0),
+    (lambda v: r.out_of_focus_mask((1, v), 1.0), 0),
+    (lambda v: r.pad(_X6, BC.REFLECTIVE, (v, 1)), 0),
+    (lambda v: r.fov_crop(_X6, (1, v)), 0),
+    (lambda v: r.assemble_dense_1d(_W3, v, BC.REFLECTIVE), 1),
+    (lambda v: r.tau_eigenvalues(_W3, v), 1),
+    (lambda v: r.dense_transform(r.TransformKind.DST1, v), 1),
+    (lambda v: r.ramp_vector(v), 3),
+    (lambda v: r.TruncateByCount(v), 0),
+    (_max_terms, 1),
+    (lambda v: log_mu_grid(1e-8, 1.0, v), 1),
+    (lambda v: r.NoiseSpec(0.01, v), None),
+]
+# Each entry passes v to one finite real parameter, with the largest value
+# it refuses: the bound itself for "> 0", a value below it for ">= 0".
+_REAL_ENTRIES = [
+    (lambda v: r.TruncateByThreshold(v), 0.0),
+    (lambda v: r.Tikhonov(v), 0.0),
+    (lambda v: r.gaussian_mask((1, 1), v), 0.0),
+    (lambda v: r.out_of_focus_mask((1, 1), v), 0.0),
+    (lambda v: r.NoiseSpec(v), -0.1),
+    (lambda v: r.snr_from_rho(v), -0.1),
+]
+_CONFIG_SCALARS = (
+    [{name: v} for name in ("seed", "mu_count", "maxval") for v in (3.7, "4", None, 2.0)]
+    + [{"mu_count": 0}, {"maxval": 255.0}]
+    + [{"rhos": (v,)} for v in (np.inf, np.nan, "x", -0.1)]
+)
+
+
+def _int_row(value):
+    return [lambda e=e: e(value) for e, _ in _INT_ENTRIES
+            if not (value is None and e is _max_terms)]
+
+
 @pytest.mark.parametrize("entries, error", [
     # an even 1-D length: every entry that takes a 1-D mask, under every rule
     ([lambda: r.generating_function_1d(_EVEN_1D, 0.0), lambda: r.tau_eigenvalues(_EVEN_1D, 4)]
@@ -128,7 +176,29 @@ _SHAPE_ENTRIES = [
      r.SizeMismatchError),
     ([lambda e=e, s=s: e(s) for e in _SHAPE_ENTRIES for s in ((0, 5), (5, -2))],
      r.SizeMismatchError),
-], ids=["even-1d-length", "lopsided-1d-mask", "non-integer-side", "non-positive-side"])
+    # the integer rule: a value operator.index refuses, or one below the bound
+    (_int_row(3.7), r.InvalidParameterError),
+    (_int_row("4"), r.InvalidParameterError),
+    (_int_row(None), r.InvalidParameterError),
+    (_int_row(2.0), r.InvalidParameterError),
+    ([lambda e=e, low=low: e(low - 1) for e, low in _INT_ENTRIES if low is not None],
+     r.InvalidParameterError),
+    # the finite-real rule: inf, NaN, a non-number, and a value at or below the bound
+    ([lambda e=e, v=v: e(v) for e, _ in _REAL_ENTRIES for v in (np.inf, -np.inf)],
+     r.InvalidParameterError),
+    ([lambda e=e: e(np.nan) for e, _ in _REAL_ENTRIES], r.InvalidParameterError),
+    ([lambda e=e: e("x") for e, _ in _REAL_ENTRIES], r.InvalidParameterError),
+    ([lambda e=e, v=v: e(v) for e, v in _REAL_ENTRIES], r.InvalidParameterError),
+    # both rules inside an experiment config
+    ([lambda kw=kw: r.ExperimentConfig(scene="sinusoids:8x8", psf="identity", **kw)
+      for kw in _CONFIG_SCALARS], r.ConfigError),
+    # a scene shape goes through the operator-shape rule
+    ([lambda f=f, s=s: f(s) for f in (r.low_frequency_scene, r.low_frequency_scene_color)
+      for s in ((3.7, 5), (5, "4"), (0, 5), (5, -2))], r.SizeMismatchError),
+], ids=["even-1d-length", "lopsided-1d-mask", "non-integer-side", "non-positive-side",
+        "int-3.7", "int-str", "int-none", "int-2.0", "int-below-bound",
+        "real-inf", "real-nan", "real-str", "real-at-or-below-bound",
+        "config-int-and-real", "scene-shape"])
 def test_each_rule_raises_its_one_error_from_every_entry(entries, error):
     for entry in entries:
         with pytest.raises(error) as info:
