@@ -1,5 +1,7 @@
 """Matrix-free image deblurring with boundary-aware spectral filters."""
 
+from types import ModuleType as _ModuleType
+
 from .color import (
     ColorMixing,
     color_tikhonov,
@@ -111,98 +113,10 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricMaskError",
-    "BlurOperator",
-    "BoundaryCondition",
-    "ColorMixing",
-    "ConfigError",
-    "EigenGrid",
-    "ExperimentConfig",
-    "FilterSpec",
-    "FormatError",
-    "InvalidParameterError",
-    "NoiseSpec",
-    "NotSeparableError",
-    "PsfMask",
-    "RampVector",
-    "RestorationResult",
-    "SingularMixingError",
-    "SizeGuardError",
-    "SizeMismatchError",
-    "SupportConditionError",
-    "SweepCurve",
-    "Tikhonov",
-    "TransformKind",
-    "TruncateByCount",
-    "TruncateByThreshold",
-    "UnsupportedAlgebraError",
-    "ZERO_SPECTRUM_TOL",
-    "add_noise",
-    "apply_blur",
-    "apply_transform",
-    "ar_apply",
-    "ar_inverse_apply",
-    "assemble_dense",
-    "assemble_dense_1d",
-    "blur_oversized_scene",
-    "color_tikhonov",
-    "color_truncated_sd",
-    "color_truncated_svd",
-    "condensed_masks",
-    "cross_channel_blur",
-    "dct3_apply",
-    "default_mu_grid",
-    "dense_transform",
-    "dst1_apply",
-    "eigen_from_first_column",
-    "eigen_grid_ar",
-    "eigen_grid_for",
-    "eigen_grid_reflective",
-    "eigen_grid_tau",
-    "fov_crop",
-    "gaussian_mask",
-    "generating_function",
-    "generating_function_1d",
-    "identity_mask",
-    "identity_mixing",
-    "is_strongly_symmetric",
-    "load_config",
-    "load_mask",
-    "low_frequency_scene",
-    "low_frequency_scene_color",
-    "mask_from_weights",
-    "mu_sweep",
-    "out_of_focus_mask",
-    "pad",
-    "parse_psf_spec",
-    "picard_data",
-    "ramp_vector",
-    "read_config_file",
-    "read_image",
-    "read_matrix",
-    "require_strong_symmetry",
-    "rre",
-    "rre_sweep",
-    "run_experiment",
-    "save_curve_csv",
-    "save_eigen_csv",
-    "save_mask",
-    "save_picard_csv",
-    "separable_factors",
-    "snr_from_rho",
-    "sort_spectrum",
-    "spectral_analysis",
-    "spectral_synthesis",
-    "standard_normal_field",
-    "svd_rre_sweep",
-    "symmetrize",
-    "synthesis_kind",
-    "tau_eigenvalues",
-    "tikhonov_restore",
-    "truncated_sd_restore",
-    "truncated_svd_restore",
-    "two_level_apply",
-    "write_image",
-    "write_matrix",
-]
+# The import block above is the one list of public names: __all__ is every
+# name bound here that does not start with "_" and is not a submodule, in
+# sorted order. tests/test_api.py pins the result.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

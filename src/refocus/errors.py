@@ -4,14 +4,17 @@ All classes derive from ValueError so call sites that only care about
 "bad input" can catch a single base type. The CLI maps ConfigError and
 file-format problems to exit code 2 and numeric failures to exit code 3.
 
-The two scalar rules live here too, since every module imports this
-one: each size, count, seed, width, weight and level passes through
-`_check_int` or `_check_real` where it enters the API.
+The input rules live here too, since every module imports this one:
+each size, count, seed, width, weight and level passes through
+`_check_int` or `_check_real`, and each data array through
+`_check_finite`, where it enters the API.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class InvalidParameterError(ValueError):
@@ -96,3 +99,13 @@ def _check_real(value, name, low=0, strict=True):
         sign = ">" if strict else ">="
         raise InvalidParameterError(f"{name} must be finite and {sign} {low}, got {value!r}")
     return value
+
+
+def _check_finite(array, what):
+    """The one finite-array rule: array, unless it holds NaN or inf.
+
+    Raises InvalidParameterError naming what the array is.
+    """
+    if not np.isfinite(array).all():
+        raise InvalidParameterError(f"{what} holds NaN or inf values")
+    return array

@@ -32,7 +32,7 @@ from .filtering import (
     log_mu_grid,
     save_curve_csv,
 )
-from .imageio import _MAXVALS, read_image, read_matrix, write_image, write_matrix
+from .imageio import _check_maxval, read_image, read_matrix, write_image, write_matrix
 from .metrics import NoiseSpec, _picard_data, add_noise, save_picard_csv
 from .operators import (
     BlurOperator, BoundaryCondition, _check_shape, blur_oversized_scene, fov_crop
@@ -118,8 +118,9 @@ class ExperimentConfig:
         try:
             for rho in self.rhos:
                 _check_real(rho, "rho", strict=False)
-            for name in ("seed", "mu_count", "maxval"):
+            for name in ("seed", "mu_count"):
                 object.__setattr__(self, name, _check_int(getattr(self, name), name))
+            object.__setattr__(self, "maxval", _check_maxval(self.maxval))
             self.mu_grid()
             object.__setattr__(self, "max_terms", _check_max_terms(self.max_terms))
         except (TypeError, ValueError) as exc:
@@ -129,8 +130,6 @@ class ExperimentConfig:
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise ConfigError(f"bc, method or rho repeats an output name: {repeated}")
-        if self.maxval not in _MAXVALS:
-            raise ConfigError(f"maxval must be one of {_MAXVALS}")
 
     def mu_grid(self):
         return log_mu_grid(self.mu_lo, self.mu_hi, self.mu_count)

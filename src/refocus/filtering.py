@@ -48,7 +48,8 @@ from typing import Union
 import numpy as np
 
 from .errors import (
-    InvalidParameterError, SingularMixingError, SizeMismatchError, _check_int, _check_real
+    InvalidParameterError, SingularMixingError, SizeMismatchError,
+    _check_finite, _check_int, _check_real,
 )
 from .imageio import _write_csv
 from .operators import assemble_dense_1d
@@ -162,9 +163,7 @@ def _check_data(x, op, color, what="data"):
     expected = (3,) + op.shape if color else op.shape
     if x.shape != expected:
         raise SizeMismatchError(f"{what} shape {x.shape} does not match {expected}")
-    if not np.isfinite(x).all():
-        raise InvalidParameterError(f"{what} holds NaN or inf values")
-    return x
+    return _check_finite(x, what)
 
 
 def _mix(matrix, channels):

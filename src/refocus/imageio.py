@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameterError
+from .errors import FormatError, InvalidParameterError, _check_finite, _check_int
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _MAXVALS = (255, 65535)
@@ -87,6 +87,14 @@ def read_image(path):
         return _parse_netpbm(fh.read())
 
 
+def _check_maxval(maxval):
+    """The one maxval rule: an integer in _MAXVALS, as a Python int."""
+    maxval = _check_int(maxval, "maxval")
+    if maxval not in _MAXVALS:
+        raise InvalidParameterError(f"maxval must be one of {_MAXVALS}, got {maxval}")
+    return maxval
+
+
 def _quantize(image, maxval):
     clipped = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
     return np.floor(clipped * maxval + 0.5)
@@ -95,25 +103,22 @@ def _quantize(image, maxval):
 def write_image(path, image, maxval=255):
     """Write an image as binary PGM (2-D input) or PPM (3, n1, n2 input).
 
-    Values are clipped to [0, 1] and quantized by round half up. A
-    maxval of 65535 writes big-endian 16-bit samples. Non-finite samples
-    are rejected before the file is opened.
+    Values are clipped to [0, 1] and quantized by round half up. maxval
+    is the integer 255 or 65535; 65535 writes big-endian 16-bit samples.
+    A bad maxval or non-finite samples are rejected before the file is
+    opened.
     """
-    if maxval not in _MAXVALS:
-        raise InvalidParameterError(f"maxval must be one of {_MAXVALS}, got {maxval}")
-    image = np.asarray(image, dtype=float)
-    if not np.isfinite(image).all():
-        raise InvalidParameterError("image holds NaN or inf samples")
+    maxval = _check_maxval(maxval)
+    image = _check_finite(np.asarray(image, dtype=float), "image")
     if image.ndim == 2:
-        magic, height, width = b"P5", image.shape[0], image.shape[1]
-        samples = _quantize(image, maxval)
+        magic, samples = b"P5", _quantize(image, maxval)
     elif image.ndim == 3 and image.shape[0] == 3:
-        magic, height, width = b"P6", image.shape[1], image.shape[2]
-        samples = np.moveaxis(_quantize(image, maxval), 0, 2)
+        magic, samples = b"P6", np.moveaxis(_quantize(image, maxval), 0, 2)
     else:
         raise InvalidParameterError(
             f"image must be (n1, n2) or (3, n1, n2), got {image.shape}"
         )
+    height, width = image.shape[-2:]
     if height == 0 or width == 0:
         raise InvalidParameterError("image must be non-empty")
     dtype = ">u2" if maxval > 255 else np.uint8
@@ -141,8 +146,7 @@ def write_matrix(path, values):
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise InvalidParameterError(f"matrix must be 2-D, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise InvalidParameterError("matrix holds NaN or inf values")
+    _check_finite(values, "matrix")
     np.savetxt(path, values, fmt="%.17g")
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SizeMismatchError, _check_int, _check_real
+from .errors import (
+    InvalidParameterError, SizeMismatchError, _check_finite, _check_int, _check_real
+)
 from .filtering import _check_data, _Plan
 from .imageio import _write_csv
 
@@ -67,17 +69,17 @@ def standard_normal_field(seed, shape):
     ----------
     seed : int
         Any integer; reduced modulo 2**64.
-    shape : tuple of int
-        Shape of the returned array.
+    shape : int or tuple of int
+        Shape of the returned array; each side an integer >= 1.
 
     Returns
     -------
     ndarray
         Standard normal samples, C-ordered by counter index.
     """
-    size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if size <= 0:
-        raise InvalidParameterError(f"field shape {shape} has no elements")
+    sides = (shape,) if np.ndim(shape) == 0 else shape
+    shape = tuple(_check_int(n, "field size", 1) for n in sides)
+    size = math.prod(shape)
     npairs = (size + 1) // 2
     u = _uniform_stream(seed, 2 * npairs)
     u1 = u[0::2] + 1.0 / _TWO53
@@ -117,9 +119,7 @@ def add_noise(g, spec):
     snr_db : float
         20*log10(1/rho), infinite when rho is zero.
     """
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise InvalidParameterError("noise data holds NaN or inf values")
+    g = _check_finite(np.asarray(g, dtype=float), "noise data")
     if spec.rho == 0:
         return g.copy(), math.inf
     nu = standard_normal_field(spec.seed, g.shape)
@@ -128,13 +128,18 @@ def add_noise(g, spec):
 
 
 def rre(estimate, reference):
-    """Relative restoration error ||estimate - reference|| / ||reference||."""
+    """Relative restoration error ||estimate - reference|| / ||reference||.
+
+    NaN or inf in either array raises InvalidParameterError.
+    """
     estimate = np.asarray(estimate, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if estimate.shape != reference.shape:
         raise SizeMismatchError(
             f"shape mismatch: {estimate.shape} vs {reference.shape}"
         )
+    _check_finite(estimate, "estimate")
+    _check_finite(reference, "reference")
     denom = np.linalg.norm(reference.ravel())
     if denom == 0:
         raise InvalidParameterError("reference image has zero norm")
@@ -182,9 +187,15 @@ def _picard_data(g, plan):
 
 
 def save_picard_csv(path, magnitudes, coefficients):
-    """Write Picard plot data as CSV with columns abs_value,abs_coef."""
+    """Write Picard plot data as CSV with columns abs_value,abs_coef.
+
+    NaN or inf in either column raises InvalidParameterError before the
+    file is opened.
+    """
     magnitudes = np.asarray(magnitudes, dtype=float)
     coefficients = np.asarray(coefficients, dtype=float)
     if magnitudes.shape != coefficients.shape or magnitudes.ndim != 1:
         raise SizeMismatchError("magnitudes and coefficients must be equal-length 1-D")
+    _check_finite(magnitudes, "magnitudes")
+    _check_finite(coefficients, "coefficients")
     _write_csv(path, "abs_value,abs_coef", magnitudes, coefficients)

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    InvalidParameterError, SizeGuardError, SizeMismatchError, SupportConditionError, _check_int
+    SizeGuardError, SizeMismatchError, SupportConditionError, _check_finite, _check_int
 )
 from .psf import PsfMask, _check_mask_1d, require_strong_symmetry
 
@@ -69,8 +69,7 @@ def pad(image, bc, margin):
     image = np.asarray(image, dtype=float)
     if image.ndim < 2:
         raise SizeMismatchError("image must have at least 2 dimensions")
-    if not np.isfinite(image).all():
-        raise InvalidParameterError("image holds NaN or inf values")
+    _check_finite(image, "image")
     q1, q2 = (_check_int(q, "margin", 0) for q in margin)
     _check_support((q1, q2), image.shape[-2:], bc)
     widths = [(0, 0)] * (image.ndim - 2) + [(q1, q1), (q2, q2)]
@@ -276,8 +275,7 @@ def blur_oversized_scene(scene, mask):
     scene = np.asarray(scene, dtype=float)
     if scene.ndim < 2:
         raise SizeMismatchError("scene must have at least 2 dimensions")
-    if not np.isfinite(scene).all():
-        raise InvalidParameterError("scene holds NaN or inf values")
+    _check_finite(scene, "scene")
     fov = fov_crop(scene, mask.half_support)
     return _correlate_valid(scene, mask.weights, fov.shape[-2:])
 

@@ -35,3 +35,11 @@ def test_exported_names_are_pinned():
     assert len(r.__all__) == len(EXPORTED)
     for name in EXPORTED:
         assert getattr(r, name) is not None
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from refocus import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == EXPORTED
+    assert r.__all__ == sorted(EXPORTED)

@@ -132,6 +132,22 @@ def test_write_image_validation(tmp_path):
         r.write_image(path, np.zeros((4, 2, 2)))
     with pytest.raises(r.InvalidParameterError):
         r.write_image(path, np.zeros((0, 2)))
+    # the maxval rule: an integer among the netpbm maxvals, checked before
+    # the file is opened
+    for maxval in (255.0, np.float64(65535), "255", None, 300):
+        with pytest.raises(r.InvalidParameterError) as info:
+            r.write_image(path, np.zeros((2, 2)), maxval=maxval)
+        assert type(info.value) is r.InvalidParameterError
+        assert not path.exists()
+
+
+def test_write_image_takes_numpy_integer_maxvals(tmp_path):
+    img = smooth_image((5, 4))
+    for maxval in (255, 65535):
+        plain, numpy_int = tmp_path / "plain.pgm", tmp_path / "numpy.pgm"
+        r.write_image(plain, img, maxval)
+        r.write_image(numpy_int, img, np.int64(maxval))
+        assert numpy_int.read_bytes() == plain.read_bytes()
 
 
 def test_matrix_round_trip(tmp_path):

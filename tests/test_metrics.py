@@ -147,6 +147,15 @@ def test_normal_field_takes_numpy_integer_seeds_modulo_2_64():
         r.standard_normal_field(1.5, (2,))
 
 
+def test_normal_field_takes_a_bare_int_or_empty_shape():
+    five = r.standard_normal_field(3, (5,))
+    assert r.standard_normal_field(3, 5).tobytes() == five.tobytes()
+    assert r.standard_normal_field(3, np.int64(5)).tobytes() == five.tobytes()
+    assert r.standard_normal_field(3, (np.int32(5),)).tobytes() == five.tobytes()
+    scalar = r.standard_normal_field(3, ())
+    assert scalar.shape == () and scalar.tobytes() == five[:1].tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_add_noise_rejects_non_finite_data(bad):
     for rho in (0.1, 0.0):

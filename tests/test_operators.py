@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,28 @@ _CONFIG_SCALARS = (
 )
 
 
+def _x6_with(value):
+    x = _X6.copy()
+    x[2, 3] = value
+    return x
+
+
+# Each entry passes a data array, or one of two, through the finite-array
+# rule; a file entry writes to the null device, so nothing is left behind.
+_FINITE_ENTRIES = [
+    lambda x: r.pad(x, BC.REFLECTIVE, (1, 1)),
+    lambda x: r.blur_oversized_scene(x, r.identity_mask()),
+    lambda x: r.picard_data(x, _OP6),
+    lambda x: r.add_noise(x, r.NoiseSpec(0.1, 1)),
+    lambda x: r.write_image(os.devnull, x),
+    lambda x: r.write_matrix(os.devnull, x),
+    lambda x: r.rre(x, _X6),
+    lambda x: r.rre(_X6, x),
+    lambda x: r.save_picard_csv(os.devnull, x.ravel(), _X6.ravel()),
+    lambda x: r.save_picard_csv(os.devnull, _X6.ravel(), x.ravel()),
+]
+
+
 def _int_row(value):
     return [lambda e=e: e(value) for e, _ in _INT_ENTRIES
             if not (value is None and e is _max_terms)]
@@ -195,10 +218,18 @@ def _int_row(value):
     # a scene shape goes through the operator-shape rule
     ([lambda f=f, s=s: f(s) for f in (r.low_frequency_scene, r.low_frequency_scene_color)
       for s in ((3.7, 5), (5, "4"), (0, 5), (5, -2))], r.SizeMismatchError),
+    # the finite-array rule: NaN or inf in any data array, on any entry
+    ([lambda e=e, v=v: e(_x6_with(v))
+      for e in _FINITE_ENTRIES for v in (np.nan, np.inf, -np.inf)],
+     r.InvalidParameterError),
+    # a noise field's sides go through the integer rule (>= 1)
+    ([lambda s=s: r.standard_normal_field(1, s)
+      for s in ((2.5,), (-1, -1), (2, 0), (3, "4"), (None,), 2.5, -1)],
+     r.InvalidParameterError),
 ], ids=["even-1d-length", "lopsided-1d-mask", "non-integer-side", "non-positive-side",
         "int-3.7", "int-str", "int-none", "int-2.0", "int-below-bound",
         "real-inf", "real-nan", "real-str", "real-at-or-below-bound",
-        "config-int-and-real", "scene-shape"])
+        "config-int-and-real", "scene-shape", "finite-array", "noise-field-shape"])
 def test_each_rule_raises_its_one_error_from_every_entry(entries, error):
     for entry in entries:
         with pytest.raises(error) as info:
