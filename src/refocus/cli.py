@@ -59,6 +59,7 @@ def _cmd_blur(args):
         blurred = cross_channel_blur(image, mixing, op)
     else:
         blurred = apply_blur(op, image)
+    del image  # free the input before noise and quantization allocate
     if noise.rho > 0:
         blurred, _snr = add_noise(blurred, noise)
     write_by_suffix(args.out, blurred, args.maxval)

@@ -210,6 +210,22 @@ def _usable(magnitudes, floor=0.0):
     return magnitudes >= max(floor, ZERO_SPECTRUM_TOL)
 
 
+def _largest(magnitudes, k):
+    """Mask of the k largest magnitudes, found by selection, not sorting.
+
+    Ties at the k-th largest value t go to the first of them in row-major
+    order, so the mask is exactly the first k indices of the stable sort
+    (sort_spectrum), at O(N) cost instead of O(N log N).
+    """
+    if k == 0:
+        return np.zeros(magnitudes.shape, dtype=bool)
+    flat = magnitudes.ravel()
+    t = np.partition(flat, flat.size - k)[flat.size - k]
+    keep = magnitudes > t
+    keep.flat[np.flatnonzero(flat == t)[: k - np.count_nonzero(keep)]] = True
+    return keep
+
+
 def _keep_mask(plan, spec):
     """Boolean mask of retained indices plus skipped-zero count."""
     if isinstance(spec, TruncateByThreshold):
@@ -223,10 +239,9 @@ def _keep_mask(plan, spec):
             raise InvalidParameterError(
                 f"count {spec.k} exceeds spectrum size {plan.lam.size}"
             )
-        # zero values rank at the usable count, so rank < k would keep them
-        rank, usable = plan.rank()
-        kept = min(spec.k, usable)
-        return rank < kept, spec.k - kept
+        magnitudes = np.abs(plan.lam)
+        kept = min(spec.k, int(np.count_nonzero(_usable(magnitudes))))
+        return _largest(magnitudes, kept), spec.k - kept
     raise InvalidParameterError(f"not a truncation spec: {spec!r}")
 
 
@@ -239,8 +254,9 @@ class _Plan:
     last two axes, so channel stacks pass through, and coordinates()
     gives an image's coefficients in the synthesis basis. The spectral
     order and the Gram border vectors are computed on first use, so a
-    Tikhonov or threshold restore never sorts and only sweeps build the
-    borders. A plan lives as long as the call or run that built it.
+    restore never sorts (count truncation selects, see _largest) and only
+    sweeps build the borders. A plan lives as long as the call or run
+    that built it.
     """
 
     def __init__(self, op, basis):

@@ -64,7 +64,8 @@ def _parse_netpbm(data):
             f"raster truncated, expected {expected} bytes", offset=len(data)
         )
     dtype = ">u2" if itemsize == 2 else np.uint8
-    samples = np.frombuffer(raster, dtype=dtype).astype(float) / maxval
+    samples = np.frombuffer(raster, dtype=dtype).astype(float)
+    samples /= maxval
     if channels == 1:
         return samples.reshape(height, width)
     return np.moveaxis(samples.reshape(height, width, 3), 2, 0)
@@ -96,8 +97,11 @@ def _check_maxval(maxval):
 
 
 def _quantize(image, maxval):
-    clipped = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
-    return np.floor(clipped * maxval + 0.5)
+    """floor(clip(image, 0, 1) * maxval + 0.5), computed in one new buffer."""
+    out = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
+    out *= maxval
+    out += 0.5
+    return np.floor(out, out=out)
 
 
 def write_image(path, image, maxval=255):

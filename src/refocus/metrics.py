@@ -23,6 +23,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(2**53)
+# Pairs of uniforms per block of standard_normal_field: bounds its
+# temporaries to a few hundred KiB whatever the field size.
+_FIELD_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,10 @@ def _mix64(x):
     return z
 
 
-def _uniform_stream(seed, count):
+def _uniform_stream(seed, start, count):
+    """Uniforms start .. start + count - 1 of the seed's counter stream."""
     base = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix64(base + idx * _GAMMA)
     return (z >> np.uint64(11)).astype(float) / _TWO53
@@ -63,7 +67,10 @@ def standard_normal_field(seed, shape):
 
     Draws pairs of uniforms from a splitmix-style counter stream and
     maps them through the Box-Muller transform, so the field depends
-    only on the seed and the element count.
+    only on the seed and the element count. The pairs are made in
+    fixed-size blocks, each from its own offset into the stream, so
+    value i is the same function of (seed, i) as in one whole-field pass
+    and the working memory stays a few hundred KiB above the output.
 
     Parameters
     ----------
@@ -80,14 +87,15 @@ def standard_normal_field(seed, shape):
     sides = (shape,) if np.ndim(shape) == 0 else shape
     shape = tuple(_check_int(n, "field size", 1) for n in sides)
     size = math.prod(shape)
-    npairs = (size + 1) // 2
-    u = _uniform_stream(seed, 2 * npairs)
-    u1 = u[0::2] + 1.0 / _TWO53
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty(2 * npairs)
-    out[0::2] = r * np.cos(2.0 * np.pi * u2)
-    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    out = np.empty(size + size % 2)  # whole pairs
+    for start in range(0, out.size, 2 * _FIELD_BLOCK):
+        block = out[start : start + 2 * _FIELD_BLOCK]
+        u = _uniform_stream(seed, start, block.size)
+        u1 = u[0::2] + 1.0 / _TWO53
+        u2 = u[1::2]
+        r = np.sqrt(-2.0 * np.log(u1))
+        block[0::2] = r * np.cos(2.0 * np.pi * u2)
+        block[1::2] = r * np.sin(2.0 * np.pi * u2)
     return out[:size].reshape(shape)
 
 
@@ -115,7 +123,7 @@ def add_noise(g, spec):
     Returns
     -------
     noisy : ndarray
-        Perturbed copy of g.
+        Perturbed copy of g, made in place in the noise field's buffer.
     snr_db : float
         20*log10(1/rho), infinite when rho is zero.
     """
@@ -124,7 +132,10 @@ def add_noise(g, spec):
         return g.copy(), math.inf
     nu = standard_normal_field(spec.seed, g.shape)
     scale = spec.rho * np.linalg.norm(g.ravel()) / np.linalg.norm(nu.ravel())
-    return g + scale * nu, snr_from_rho(spec.rho)
+    # bitwise g + scale * nu: IEEE products and sums commute
+    nu *= scale
+    nu += g
+    return nu, snr_from_rho(spec.rho)
 
 
 def rre(estimate, reference):

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,27 @@ def test_cli_blur_matches_api(tmp_path):
     ])
     op = r.BlurOperator(r.out_of_focus_mask((1, 1), 1.0), BC.REFLECTIVE, (10, 9))
     assert np.array_equal(r.read_matrix(blurred), r.apply_blur(op, f))
+
+
+def test_cli_noisy_color_blur_working_set(tmp_path, capsys):
+    # input, blurred image and write buffer: no image-sized temporary beyond those
+    side = 384
+    src, out = tmp_path / "scene.ppm", tmp_path / "blurred.ppm"
+    r.write_image(src, r.low_frequency_scene_color((side, side)), 65535)
+    argv = ["blur", "--image", str(src), "--psf", "gaussian:3:1.5",
+            "--bc", "reflective", "--rho", "0.01", "--seed", "4",
+            "--mix", "0.7,0.2,0.1,0.15,0.7,0.15,0.1,0.2,0.7",
+            "--maxval", "65535", "--out", str(out)]
+    assert main(argv) == 0  # warm-up: first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    image_bytes = 3 * side * side * 8
+    assert peak <= 4 * image_bytes, f"peak {peak / image_bytes:.2f} image sizes"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

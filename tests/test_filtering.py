@@ -111,16 +111,20 @@ def _plan_of(lam):
 
 
 def test_count_mask_matches_sort_reference():
-    # zero values, ties and both signs; rank < k alone would keep the zeros
+    # zero values, ties and both signs; rank < k alone would keep the zeros.
+    # The rounded grid is tie-heavy: most kept sets end inside a run of ties.
     mask = r.PsfMask(np.array([[0.5], [0.0], [0.5]]))
     grids = [r.eigen_grid_for(r.BlurOperator(mask, BC.REFLECTIVE, (6, 6))).values,
-             np.array([[0.5, -0.5, 0.0], [1e-15, 0.25, -0.5]])]
+             np.array([[0.5, -0.5, 0.0], [1e-15, 0.25, -0.5]]),
+             np.round(r.standard_normal_field(3, (9, 11)), 1)]
     for lam in grids:
         for k in range(lam.size + 1):
-            keep, skipped = filtering._keep_mask(_plan_of(lam), r.TruncateByCount(k))
+            plan = _plan_of(lam)
+            keep, skipped = filtering._keep_mask(plan, r.TruncateByCount(k))
             ref_keep, ref_skipped = _keep_mask_by_sort(lam, k)
             assert np.array_equal(keep, ref_keep) and skipped == ref_skipped
             assert type(skipped) is int
+            assert "order" not in vars(plan)  # selected, never sorted
 
 
 def _tsvd_outputs(op, g, f, mixing):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import refocus as r
-from refocus.metrics import _GAMMA, _mix64
+from refocus.metrics import _FIELD_BLOCK, _GAMMA, _mix64
 from refocus.operators import BoundaryCondition as BC
 
 from conftest import rough_image
@@ -29,6 +29,52 @@ def test_normal_field_deterministic_counter_mode():
     # prefix property: the field is a pure function of (seed, index)
     assert np.array_equal(a[:13], r.standard_normal_field(42, (13,)))
     assert not np.array_equal(a, r.standard_normal_field(43, (40,)))
+
+
+def _one_shot_field(seed, size):
+    """Reference: the field formula evaluated over the whole field at once."""
+    npairs = (size + 1) // 2
+    idx = np.arange(1, 2 * npairs + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = _mix64(np.uint64(seed % 2**64) + idx * _GAMMA)
+    u = (z >> np.uint64(11)).astype(float) / 2.0**53
+    radius = np.sqrt(-2.0 * np.log(u[0::2] + 1.0 / 2.0**53))
+    out = np.empty(2 * npairs)
+    out[0::2] = radius * np.cos(2.0 * np.pi * u[1::2])
+    out[1::2] = radius * np.sin(2.0 * np.pi * u[1::2])
+    return out[:size]
+
+
+@pytest.mark.parametrize("size", [
+    1, 2, 3, 2 * _FIELD_BLOCK - 1, 2 * _FIELD_BLOCK, 2 * _FIELD_BLOCK + 1,
+])
+def test_blocked_field_matches_one_shot_formula(size):
+    for seed in (0, 11, -5):
+        field = r.standard_normal_field(seed, size)
+        assert field.tobytes() == _one_shot_field(seed, size).tobytes()
+
+
+def test_blocked_field_is_a_function_of_seed_and_index():
+    shape = (3, 97, 2 * _FIELD_BLOCK // 97 + 5)  # several blocks, a partial one last
+    field = r.standard_normal_field(8, shape)
+    assert field.shape == shape
+    assert field.tobytes() == _one_shot_field(8, math.prod(shape)).tobytes()
+    # a longer field extends a shorter one across block boundaries
+    short = r.standard_normal_field(8, 2 * _FIELD_BLOCK + 3)
+    assert field.ravel()[: short.size].tobytes() == short.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(37, 41), (3, 29, 31)])
+def test_add_noise_is_data_plus_scaled_field_bitwise(shape):
+    g = r.standard_normal_field(2, shape) ** 2
+    before = g.copy()
+    spec = r.NoiseSpec(0.03, 9)
+    nu = r.standard_normal_field(spec.seed, shape)
+    scale = spec.rho * np.linalg.norm(g.ravel()) / np.linalg.norm(nu.ravel())
+    noisy, _snr = r.add_noise(g, spec)
+    assert noisy.tobytes() == (g + scale * nu).tobytes()
+    assert not np.shares_memory(noisy, g)
+    assert g.tobytes() == before.tobytes()
 
 
 def test_normal_field_statistics():
