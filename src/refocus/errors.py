@@ -88,16 +88,16 @@ def _check_int(value, name, low=None):
     raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def _check_real(value, name, low=0, strict=True):
-    """The one finite-real rule: value > low (>= low unless strict).
+def _check_real(value, name, strict=True):
+    """The one finite-real rule: value > 0 (>= 0 unless strict).
 
     value must be a finite numbers.Real; it is returned unchanged.
     Raises InvalidParameterError naming the parameter.
     """
     finite = isinstance(value, numbers.Real) and math.isfinite(value)
-    if not (finite and (value > low if strict else value >= low)):
+    if not (finite and (value > 0 if strict else value >= 0)):
         sign = ">" if strict else ">="
-        raise InvalidParameterError(f"{name} must be finite and {sign} {low}, got {value!r}")
+        raise InvalidParameterError(f"{name} must be finite and {sign} 0, got {value!r}")
     return value
 
 

@@ -35,9 +35,13 @@ from .filtering import (
 from .imageio import _check_maxval, read_image, read_matrix, write_image, write_matrix
 from .metrics import NoiseSpec, _picard_data, add_noise, save_picard_csv
 from .operators import (
-    BlurOperator, BoundaryCondition, _check_shape, blur_oversized_scene, fov_crop
+    _SYMMETRIC_RULES, BlurOperator, BoundaryCondition, _check_shape, blur_oversized_scene,
+    fov_crop,
 )
 from .psf import gaussian_mask, identity_mask, load_mask, out_of_focus_mask
+
+# the boundary rules an experiment restores under, as named in messages
+_RULES = "one of " + ", ".join(rule.value for rule in _SYMMETRIC_RULES)
 
 
 def low_frequency_scene(shape):
@@ -95,26 +99,15 @@ class ExperimentConfig:
     maxval: int = 255
 
     def __post_init__(self):
-        if not self.scene:
-            raise ConfigError("scene must be set")
-        if not self.psf:
-            raise ConfigError("psf must be set")
-        if not self.bcs:
-            raise ConfigError("at least one boundary rule is required")
-        allowed = (BoundaryCondition.REFLECTIVE, BoundaryCondition.ANTIREFLECTIVE)
+        for name in ("scene", "psf", "bcs", "methods", "rhos"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be set, got {getattr(self, name)!r}")
         for bc in self.bcs:
-            if bc not in allowed:
-                raise ConfigError(
-                    "experiment restoration supports reflective and "
-                    f"antireflective boundaries, got {bc!r}"
-                )
-        if not self.methods:
-            raise ConfigError("at least one method is required")
+            if bc not in _SYMMETRIC_RULES:
+                raise ConfigError(f"bc must be a BoundaryCondition member, {_RULES}, got {bc!r}")
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}, expected {METHODS}")
-        if not self.rhos:
-            raise ConfigError("at least one noise level is required")
         try:
             for rho in self.rhos:
                 _check_real(rho, "rho", strict=False)
@@ -140,38 +133,29 @@ def _case_names(bc, method, rho):
     return f"{bc.value}_{method}_rho{rho:g}", f"{bc.value},{method},{rho:.6e}"
 
 
-def _parse_int(value, what):
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+def _cast(cast, noun):
+    """A token parser: cast(token), or a ConfigError naming the key and token."""
+
+    def parse(token, what):
+        try:
+            return cast(token)
+        except ValueError as exc:
+            raise ConfigError(f"{what} must be {noun}, got {token!r}") from exc
+
+    return parse
 
 
-def _parse_float(value, what):
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+_int = _cast(int, "an integer")
+_float = _cast(float, "a number")
+_bc = _cast(BoundaryCondition, _RULES)
 
 
-def _parse_pair(value, what, cast):
-    parts = value.split(",")
-    if len(parts) == 1:
-        item = cast(parts[0], what)
-        return item, item
-    if len(parts) == 2:
-        return cast(parts[0], what), cast(parts[1], what)
-    raise ConfigError(f"{what} must be one or two comma separated values")
-
-
-def _parse_bc(token, what):
-    try:
-        return BoundaryCondition(token)
-    except ValueError as exc:
-        names = ", ".join(bc.value for bc in BoundaryCondition)
-        raise ConfigError(
-            f"unknown boundary rule {token!r}, expected one of {names}"
-        ) from exc
+def _parse_pair(value, what, parse):
+    """One or two comma separated items; a single item stands for both."""
+    items = _each(parse)(value, what)
+    if len(items) > 2:
+        raise ConfigError(f"{what} must be one or two comma separated values, got {value!r}")
+    return items if len(items) == 2 else items * 2
 
 
 def _text(value, what):
@@ -184,7 +168,7 @@ def _each(parse):
     def parse_list(value, what):
         tokens = [tok.strip() for tok in value.split(",")]
         if any(not tok for tok in tokens):
-            raise ConfigError(f"empty item in list {value!r}")
+            raise ConfigError(f"{what} has an empty item in {value!r}")
         return tuple(parse(tok, what) for tok in tokens)
 
     return parse_list
@@ -192,13 +176,13 @@ def _each(parse):
 
 def parse_mix_spec(spec):
     """Build a ColorMixing from 9 comma separated row-major entries."""
-    entries = _each(_parse_float)(spec, "mix entry")
+    entries = _each(_float)(spec, "mix")
     if len(entries) != 9:
-        raise ConfigError("mix must hold 9 comma separated row-major entries")
+        raise ConfigError(f"mix must hold 9 comma separated row-major entries, got {spec!r}")
     try:
         return ColorMixing(np.array(entries).reshape(3, 3))
     except ValueError as exc:
-        raise ConfigError(f"invalid mixing matrix: {exc}") from exc
+        raise ConfigError(f"invalid mix {spec!r}: {exc}") from exc
 
 
 # Each config key, in parse order: the ExperimentConfig field it sets and
@@ -206,18 +190,26 @@ def parse_mix_spec(spec):
 _KEYS = {
     "scene": ("scene", _text),
     "psf": ("psf", _text),
-    "bc": ("bcs", _each(_parse_bc)),
+    "bc": ("bcs", _each(_bc)),
     "method": ("methods", _each(_text)),
-    "rho": ("rhos", _each(_parse_float)),
-    "seed": ("seed", _parse_int),
+    "rho": ("rhos", _each(_float)),
+    "seed": ("seed", _int),
     "out": ("out", _text),
     "mix": ("mix", lambda value, what: parse_mix_spec(value)),
-    "mu_lo": ("mu_lo", _parse_float),
-    "mu_hi": ("mu_hi", _parse_float),
-    "mu_count": ("mu_count", _parse_int),
-    "max_terms": ("max_terms", _parse_int),
-    "maxval": ("maxval", _parse_int),
+    "mu_lo": ("mu_lo", _float),
+    "mu_hi": ("mu_hi", _float),
+    "mu_count": ("mu_count", _int),
+    "max_terms": ("max_terms", _int),
+    "maxval": ("maxval", _int),
 }
+
+
+def _key_value(text, where):
+    """Split "key = value" into its stripped key and value."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    return key.strip(), value.strip()
 
 
 def read_config_file(path):
@@ -231,9 +223,7 @@ def read_config_file(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
+        key, value = _key_value(stripped, f"{path}:{lineno}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
@@ -252,11 +242,7 @@ def load_config(path=None, overrides=()):
         Extra "key=value" assignments applied after the file.
     """
     raw = read_config_file(path) if path is not None else {}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        raw[key] = value
+    raw.update(_key_value(item, "override") for item in overrides)
     unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -286,10 +272,10 @@ def parse_psf_spec(spec):
             if not sep:
                 width = "sigma" if head == "gaussian" else "radius"
                 raise ConfigError(f"{head} psf needs {head}:q:{width}")
-            half = _parse_pair(q_part, f"{head} half support", _parse_int)
+            half = _parse_pair(q_part, f"{head} half support", _int)
             if head == "disk":
-                return out_of_focus_mask(half, _parse_float(p_part, "disk radius"))
-            return gaussian_mask(half, _parse_pair(p_part, "gaussian sigma", _parse_float))
+                return out_of_focus_mask(half, _float(p_part, "disk radius"))
+            return gaussian_mask(half, _parse_pair(p_part, "gaussian sigma", _float))
         if head == "file":
             if not rest:
                 raise ConfigError("file psf needs file:path")
@@ -344,7 +330,7 @@ def _resolve_scene(config):
     parts = spec.split(":", 1)[1].split("x")
     if len(parts) != 2:
         raise ConfigError(f"sinusoids scene needs sinusoids:HxW, got {spec!r}")
-    shape = tuple(_parse_int(p, "scene dimension") for p in parts)
+    shape = tuple(_int(p, "scene dimension") for p in parts)
     scene = low_frequency_scene if config.mix is None else low_frequency_scene_color
     return scene(shape)
 

@@ -10,6 +10,7 @@ same maxval reproduces the file byte for byte.
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 
@@ -135,7 +136,10 @@ def write_image(path, image, maxval=255):
 def read_matrix(path):
     """Read a whitespace separated text matrix of finite floats."""
     try:
-        values = np.loadtxt(path, dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on a file without data; the size check below rejects it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, dtype=float, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"invalid matrix file {path}: {exc}") from exc
     if values.size == 0:

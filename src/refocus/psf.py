@@ -144,23 +144,23 @@ def symmetrize(mask):
     return mask_from_weights(w)
 
 
-def _mirrored(w, axis, rtol=1e-12):
+def _mirrored(w, axis):
     """The one symmetry test: w equals its own reversal along axis.
 
-    Entries may differ by at most rtol times the largest |entry|.
+    Entries may differ by at most 1e-12 times the largest |entry|.
     """
-    return np.abs(w - np.flip(w, axis)).max() <= rtol * np.abs(w).max()
+    return np.abs(w - np.flip(w, axis)).max() <= 1e-12 * np.abs(w).max()
 
 
-def is_strongly_symmetric(mask, rtol=1e-12):
-    """Check weights[i1, i2] == weights[|i1|, |i2|] up to rtol."""
+def is_strongly_symmetric(mask):
+    """Check weights[i1, i2] == weights[|i1|, |i2|] to 1e-12 of the largest weight."""
     w = np.asarray(mask.weights)
-    return _mirrored(w, 0, rtol) and _mirrored(w, 1, rtol)
+    return _mirrored(w, 0) and _mirrored(w, 1)
 
 
-def require_strong_symmetry(mask, rtol=1e-12):
+def require_strong_symmetry(mask):
     """Raise AsymmetricMaskError unless the mask is strongly symmetric."""
-    if not is_strongly_symmetric(mask, rtol=rtol):
+    if not is_strongly_symmetric(mask):
         raise AsymmetricMaskError(
             "mask must be strongly symmetric; call symmetrize() first"
         )
@@ -236,15 +236,15 @@ def condensed_masks(mask):
     return w.sum(axis=0), w.sum(axis=1)
 
 
-def separable_factors(mask, tol=1e-12):
+def separable_factors(mask):
     """Split a rank-one mask into its two normalized 1-D factors.
+
+    The mask may differ from the outer product of the recovered factors
+    by at most 1e-12 in any entry.
 
     Parameters
     ----------
     mask : PsfMask
-    tol : float
-        Largest allowed entrywise deviation between the mask and the
-        outer product of the recovered factors.
 
     Returns
     -------
@@ -259,7 +259,7 @@ def separable_factors(mask, tol=1e-12):
         If the mask is not an outer product of 1-D masks.
     """
     row_mask, col_mask = condensed_masks(mask)
-    if np.abs(np.outer(col_mask, row_mask) - mask.weights).max() > tol:
+    if np.abs(np.outer(col_mask, row_mask) - mask.weights).max() > 1e-12:
         raise NotSeparableError("mask is not separable into 1-D factors")
     return col_mask, row_mask
 

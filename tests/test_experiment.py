@@ -6,6 +6,7 @@ import pytest
 
 import refocus as r
 from refocus.cli import main
+from refocus.filtering import log_mu_grid
 from refocus.operators import BoundaryCondition as BC
 
 from test_sweep import _count_calls
@@ -36,7 +37,8 @@ def test_parse_psf_spec_variants(tmp_path):
 
 def test_parse_psf_spec_errors():
     for bad in ("identity:3", "gaussian:2", "disk:1", "blob:1:2", "file:",
-                "gaussian:a:1", "gaussian:1:0"):
+                "gaussian:a:1", "gaussian:1:0", "gaussian:1,2,3:1", "gaussian:1:0.5,",
+                "disk:1:x"):
         with pytest.raises(r.ConfigError):
             r.parse_psf_spec(bad)
 
@@ -60,29 +62,47 @@ def test_config_parsing_defaults_and_overrides(tmp_path):
     assert config.methods == ("tsd", "tikhonov")
 
 
-def test_config_errors(tmp_path):
+_BASE_CFG = "scene = sinusoids:8x8\npsf = identity\n"
+
+
+@pytest.mark.parametrize("text, overrides, fragment", [
+    (_BASE_CFG + "scene = x\n", [], "duplicate key 'scene'"),
+    (_BASE_CFG + "typo = 1\n", [], "unknown config keys: typo"),
+    ("psf = identity\n", [], "missing required key 'scene'"),
+    (_BASE_CFG + "bc = periodic\n", [], "bc must be a BoundaryCondition member.*periodic"),
+    (_BASE_CFG + "bc = mirror\n", [], "bc must be one of reflective, antireflective"),
+    (_BASE_CFG + "method = magic\n", [], "method 'magic'"),
+    (_BASE_CFG + "rho = -1\n", [], "rho must be finite and >= 0, got -1"),
+    (_BASE_CFG + "not a pair\n", [], "expected key=value, got 'not a pair'"),
+    (_BASE_CFG, ["not a pair"], "override: expected key=value, got 'not a pair'"),
+    (_BASE_CFG, ["bc=reflective,,antireflective"], "bc has an empty item"),
+    (_BASE_CFG, ["rho="], "rho has an empty item"),
+    (_BASE_CFG, ["mix=1,0,0"], "mix must hold 9 .* got '1,0,0'"),
+    (_BASE_CFG, ["scene="], "scene must be set"),
+    (_BASE_CFG, ["psf="], "psf must be set"),
+], ids=["duplicate-key", "unknown-key", "missing-scene", "bc-periodic", "bc-unknown",
+        "method-unknown", "rho-negative", "line-without-equals", "override-without-equals",
+        "bc-empty-item", "rho-empty", "mix-not-9-entries", "scene-empty", "psf-empty"])
+def test_config_errors(tmp_path, text, overrides, fragment):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("scene = sinusoids:8x8\npsf = identity\nscene = x\n")
-    with pytest.raises(r.ConfigError):
-        r.load_config(cfg)
-    cfg.write_text("scene = sinusoids:8x8\npsf = identity\ntypo = 1\n")
-    with pytest.raises(r.ConfigError):
-        r.load_config(cfg)
-    cfg.write_text("psf = identity\n")
-    with pytest.raises(r.ConfigError):
-        r.load_config(cfg)
-    cfg.write_text("scene = sinusoids:8x8\npsf = identity\nbc = periodic\n")
-    with pytest.raises(r.ConfigError):
-        r.load_config(cfg)
-    cfg.write_text("scene = sinusoids:8x8\npsf = identity\nmethod = magic\n")
-    with pytest.raises(r.ConfigError):
-        r.load_config(cfg)
-    cfg.write_text("scene = sinusoids:8x8\npsf = identity\nrho = -1\n")
-    with pytest.raises(r.ConfigError):
-        r.load_config(cfg)
-    cfg.write_text("scene = sinusoids:8x8\npsf = identity\nnot a pair\n")
-    with pytest.raises(r.ConfigError):
-        r.load_config(cfg)
+    cfg.write_text(text)
+    with pytest.raises(r.ConfigError, match=fragment):
+        r.load_config(cfg, overrides)
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("scene", "", "scene must be set"),
+    ("psf", "", "psf must be set"),
+    ("bcs", (), "bcs must be set"),
+    ("methods", (), "methods must be set"),
+    ("rhos", (), "rhos must be set"),
+    # a rule's name is not a rule
+    ("bcs", ("reflective",), "BoundaryCondition member, one of reflective, antireflective"),
+], ids=["scene", "psf", "bcs", "methods", "rhos", "bc-name-not-member"])
+def test_config_rejects_empty_fields_and_rule_names(field, value, fragment):
+    kwargs = {"scene": "sinusoids:8x8", "psf": "identity", field: value}
+    with pytest.raises(r.ConfigError, match=fragment):
+        r.ExperimentConfig(**kwargs)
 
 
 def test_config_rejects_non_numeric_rho(tmp_path):
@@ -97,17 +117,18 @@ def test_config_rejects_non_numeric_rho(tmp_path):
     assert config.rhos == (0.01, 0)
 
 
-def test_scene_too_small_rejected(tmp_path):
-    config = r.load_config(
-        None,
-        overrides=[
-            "scene=sinusoids:4x4",
-            "psf=gaussian:2:1.5",
-            f"out={tmp_path / 'x'}",
-        ],
-    )
-    with pytest.raises(r.ConfigError):
+@pytest.mark.parametrize("scene, psf, fragment", [
+    ("sinusoids:4x4", "gaussian:2:1.5", "scene too small"),
+    ("sinusoids:8", "identity", "sinusoids:HxW"),
+    ("sinusoids:8x8x8", "identity", "sinusoids:HxW"),
+    ("sinusoids:8xa", "identity", "scene dimension must be an integer"),
+], ids=["too-small", "one-side", "three-sides", "non-integer-side"])
+def test_unusable_scene_rejected_before_output(tmp_path, scene, psf, fragment):
+    out = tmp_path / "x"
+    config = r.load_config(None, [f"scene={scene}", f"psf={psf}", f"out={out}"])
+    with pytest.raises(r.ConfigError, match=fragment):
         r.run_experiment(config)
+    assert not out.exists()
 
 
 def test_gray_scene_with_mix_rejected(tmp_path):
@@ -252,6 +273,26 @@ def test_cli_blur_restore_sweep(tmp_path):
     assert curve.read_text().startswith("param,rre\n")
 
 
+def test_cli_tikhonov_sweep_takes_the_mu_flags(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    blurred = tmp_path / "blurred.txt"
+    curve = tmp_path / "curve.csv"
+    expected = tmp_path / "expected.csv"
+    f = r.low_frequency_scene((12, 11))
+    op = r.BlurOperator(r.gaussian_mask((1, 1), 0.9), BC.REFLECTIVE, f.shape)
+    g = r.apply_blur(op, f)
+    r.write_matrix(truth, f)
+    r.write_matrix(blurred, g)
+    assert main([
+        "sweep", "--image", str(blurred), "--reference", str(truth),
+        "--psf", "gaussian:1:0.9", "--bc", "reflective", "--method", "tikhonov",
+        "--mu-lo", "1e-5", "--mu-hi", "0.5", "--mu-count", "7", "--out", str(curve),
+    ]) == 0
+    r.save_curve_csv(r.mu_sweep(g, op, f, log_mu_grid(1e-5, 0.5, 7)), expected)
+    assert curve.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+
+
 def test_cli_sweep_rejects_bad_max_terms(tmp_path, capsys):
     truth = tmp_path / "truth.txt"
     curve = tmp_path / "curve.csv"
@@ -317,7 +358,7 @@ def test_cli_noisy_color_blur_working_set(tmp_path, capsys):
     assert peak <= 4 * image_bytes, f"peak {peak / image_bytes:.2f} image sizes"
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     truth = tmp_path / "truth.txt"
     r.write_matrix(truth, r.low_frequency_scene((8, 8)))
     # conflicting filter parameters
@@ -340,6 +381,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     ])
     assert code == 2
     capsys.readouterr()
+    # a numeric failure inside the filter
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    code = main([
+        "restore", "--image", str(truth), "--psf", "gaussian:1:0.9",
+        "--bc", "reflective", "--method", "tsvd", "--count", "3",
+        "--out", str(tmp_path / "o.txt"),
+    ])
+    assert code == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
 
 
 def test_cli_experiment(tmp_path):

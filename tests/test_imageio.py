@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,20 @@ def test_matrix_errors(tmp_path):
         r.read_matrix(path)
     with pytest.raises(r.InvalidParameterError):
         r.write_matrix(path, np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("text", ["", "# a comment only\n\n"], ids=["empty", "comment-only"])
+def test_read_matrix_rejects_empty_files_without_a_warning(tmp_path, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    # under the suite's filter every warning is an error; under "always" none may show
+    with pytest.raises(r.FormatError, match="empty matrix file"):
+        r.read_matrix(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(r.FormatError, match="empty matrix file"):
+            r.read_matrix(path)
+    assert caught == []
 
 
 def test_write_matrix_rejects_non_finite_before_writing(tmp_path):

@@ -99,6 +99,7 @@ def test_zero_noise_returns_copy():
     assert np.array_equal(noisy, g)
     assert noisy is not g
     assert snr == math.inf
+    assert r.snr_from_rho(0) == math.inf
 
 
 def test_noise_spec_validation():

@@ -6,7 +6,7 @@ import pytest
 import scipy.signal
 
 import refocus as r
-from refocus.filtering import log_mu_grid
+from refocus.filtering import log_mu_grid, restore, sweep
 from refocus.operators import _TILE_BYTES, _correlate_valid
 from refocus.operators import BoundaryCondition as BC
 
@@ -226,10 +226,39 @@ def _int_row(value):
     ([lambda s=s: r.standard_normal_field(1, s)
       for s in ((2.5,), (-1, -1), (2, 0), (3, "4"), (None,), 2.5, -1)],
      r.InvalidParameterError),
+    # data with fewer than two axes, or axes that do not match their partner
+    ([lambda: r.pad(_X6[0], BC.REFLECTIVE, (1, 1)),
+      lambda: r.blur_oversized_scene(_X6[0], r.identity_mask()),
+      lambda: r.two_level_apply(_X6[0], r.TransformKind.DCT3),
+      lambda: r.apply_blur(_OP6, _X6[:5]),
+      lambda: r.save_picard_csv(os.devnull, _X6[0], _X6[0, :5]),
+      lambda: r.save_picard_csv(os.devnull, _X6, _X6)],
+     r.SizeMismatchError),
+    # a filter call whose method, spec, reference or mu grid is malformed
+    ([lambda: restore(_X6, _OP6, "tsd", 0.5),
+      lambda: restore(_X6, _OP6, "magic", r.TruncateByCount(1)),
+      lambda: restore(_X6, _OP6, "tsd", r.Tikhonov(0.1)),
+      lambda: sweep(_X6, _OP6, "tsd", np.zeros((6, 6))),
+      lambda: r.mu_sweep(_X6, _OP6, _X6, []),
+      lambda: r.mu_sweep(_X6, _OP6, _X6, np.full((2, 2), 0.1))],
+     r.InvalidParameterError),
+    # an eigenvalue grid that is not 2-D, or an anti-reflective side below 3
+    ([lambda: r.EigenGrid(values=np.ones(3), algebra="dct3"),
+      lambda: r.eigen_grid_ar(r.identity_mask(), (2, 5))],
+     r.InvalidParameterError),
+    # first-column recovery: reflective only, and only under the dense size guard
+    ([lambda bc=bc: r.eigen_from_first_column(r.BlurOperator(r.identity_mask(), bc, (6, 6)))
+      for bc in (BC.ANTIREFLECTIVE, BC.PERIODIC)],
+     r.UnsupportedAlgebraError),
+    ([lambda: r.eigen_from_first_column(
+        r.BlurOperator(r.identity_mask(), BC.REFLECTIVE, (200, 101)))],
+     r.SizeGuardError),
 ], ids=["even-1d-length", "lopsided-1d-mask", "non-integer-side", "non-positive-side",
         "int-3.7", "int-str", "int-none", "int-2.0", "int-below-bound",
         "real-inf", "real-nan", "real-str", "real-at-or-below-bound",
-        "config-int-and-real", "scene-shape", "finite-array", "noise-field-shape"])
+        "config-int-and-real", "scene-shape", "finite-array", "noise-field-shape",
+        "data-axes", "filter-arguments", "grid-arguments", "first-column-rule",
+        "first-column-size"])
 def test_each_rule_raises_its_one_error_from_every_entry(entries, error):
     for entry in entries:
         with pytest.raises(error) as info:

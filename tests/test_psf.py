@@ -128,8 +128,16 @@ def test_load_mask_normalizes(tmp_path):
     assert loaded.weights[1, 1] == pytest.approx(0.5)
 
 
-def test_load_mask_rejects_bad_header(tmp_path):
+@pytest.mark.parametrize("text, fragment", [
+    ("not a header\n", "header must be 'q1 q2'"),
+    ("1 x\n0 1 0\n", "header must hold two integers"),
+    ("-1 1\n", "half supports must be nonnegative"),
+    ("1 1\n0 2 0\n2 8\n0 2 0\n", "row 1 must hold 3 values"),
+    ("1 1\n0 2 0\n2 x 2\n0 2 0\n", "row 1 holds a non-number"),
+], ids=["header-not-a-pair", "header-not-integers", "negative-half-support", "short-row",
+        "non-number"])
+def test_load_mask_rejects_malformed_files(tmp_path, text, fragment):
     path = tmp_path / "mask.txt"
-    path.write_text("not a header\n")
-    with pytest.raises(r.FormatError):
+    path.write_text(text)
+    with pytest.raises(r.FormatError, match=fragment):
         r.load_mask(path)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import refocus as r
+from refocus import spectrum
+from refocus.operators import _SYMMETRIC_RULES
 from refocus.operators import BoundaryCondition as BC
 from refocus.transforms import TransformKind
 
@@ -74,6 +76,22 @@ def test_antireflective_grid_census(gauss11):
     tau1 = r.tau_eigenvalues(col_mask, 3)
     tau2 = r.tau_eigenvalues(row_mask, 4)
     assert np.allclose(values[1:-1, 1:-1], np.outer(tau1, tau2), atol=1e-14)
+
+
+def test_tau_grid_is_outer_product_and_antireflective_interior():
+    mask = r.gaussian_mask((2, 1), (1.3, 0.8))
+    col, row = r.separable_factors(mask)
+    n1, n2 = 7, 9
+    grid = r.eigen_grid_tau(mask, (n1, n2))
+    assert grid.algebra == "tau" and grid.shape == (n1, n2)
+    outer = np.multiply.outer(r.tau_eigenvalues(col, n1), r.tau_eigenvalues(row, n2))
+    assert np.abs(grid.values - outer).max() <= 1e-15
+    ar = r.eigen_grid_ar(mask, (n1 + 2, n2 + 2))
+    assert np.abs(grid.values - ar.values[1:-1, 1:-1]).max() <= 1e-15
+
+
+def test_each_spectral_rule_has_one_basis():
+    assert set(spectrum._BASES) == set(_SYMMETRIC_RULES)
 
 
 def test_antireflective_support_condition(gauss22):

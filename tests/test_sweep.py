@@ -75,10 +75,14 @@ def test_ramp_gram_matches_dense_basis(m):
     assert np.abs(s.T @ s - np.eye(m) - e).max() <= 1e-13
 
 
-def test_synthesis_gram_per_rule():
+def test_synthesis_gram_and_kind_per_rule():
     assert spectrum.synthesis_gram(BC.REFLECTIVE, (5, 6)) == (None, None)
     g1, g2 = spectrum.synthesis_gram(BC.ANTIREFLECTIVE, (5, 6))
     assert g1.shape == (5, 2) and g2.shape == (6, 2)
+    assert r.synthesis_kind(BC.REFLECTIVE) is TransformKind.DCT3
+    assert r.synthesis_kind(BC.ANTIREFLECTIVE) is TransformKind.AR
+    with pytest.raises(r.UnsupportedAlgebraError):
+        r.synthesis_kind(BC.PERIODIC)
 
 
 @pytest.mark.parametrize("bc", RULES)
