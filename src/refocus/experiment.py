@@ -11,6 +11,7 @@ bytes.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -391,6 +392,7 @@ def run_experiment(config):
         noisy, _snr = add_noise(g_clean, NoiseSpec(rho, config.seed))
         for bc in config.bcs:
             magnitudes, coefs = _picard_data(noisy, plans[bc, "eigen"])
+            picard = None  # formatted once per (rule, rho), then copied
             for method in config.methods:
                 plan = plans[bc, _BASIS[method]]
                 curve, restored = _run_case(noisy, plan, mixing, method, f_true, config)
@@ -398,7 +400,11 @@ def run_experiment(config):
                 subdir = out / dirname
                 subdir.mkdir(parents=True, exist_ok=True)
                 save_curve_csv(curve, subdir / "curve.csv")
-                save_picard_csv(subdir / "picard.csv", magnitudes, coefs)
+                if picard is None:
+                    picard = subdir / "picard.csv"
+                    save_picard_csv(picard, magnitudes, coefs)
+                else:
+                    shutil.copyfile(picard, subdir / "picard.csv")
                 name = "restored.ppm" if color else "restored.pgm"
                 write_image(subdir / name, restored.image, config.maxval)
                 rows.append(f"{key},{format_optimum(curve)},{curve.best_rre:.6e}\n")

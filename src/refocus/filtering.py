@@ -32,11 +32,14 @@ to every sweep, restore and Picard plot of the run.
 
 Sweeps never synthesize an image. The error of a restoration is the
 norm of its coefficient difference from the reference's coefficients,
-weighted by the Gram matrix S^T S of the synthesis basis per axis. That
-matrix is the identity for the cosine and singular bases and the
-identity plus a term on the two border rows and columns for the
-ramp-bordered basis. So a whole truncation curve costs one spectrum sort
-plus O(N) work, and each Tikhonov weight on a mu grid costs O(N).
+weighted by the Gram matrix S^T S of the synthesis basis per axis. A
+basis is either orthonormal on both axes (cosine, singular), where that
+matrix is the identity, or ramp-bordered on both (anti-reflective),
+where it is the identity plus a term on the two border rows and columns
+of each axis, given once as split border vectors
+(spectrum.synthesis_gram). So a whole truncation curve costs one
+spectrum sort plus O(N) work, and each Tikhonov weight on a mu grid
+costs O(N).
 """
 
 from __future__ import annotations
@@ -252,11 +255,12 @@ class _Plan:
     "svd" (the singular bases of its separable 1-D factors, for tsvd).
     lam is the spectrum; analysis, synthesis and coordinates map on the
     last two axes, so channel stacks pass through, and coordinates()
-    gives an image's coefficients in the synthesis basis. The spectral
-    order and the Gram border vectors are computed on first use, so a
-    restore never sorts (count truncation selects, see _largest) and only
-    sweeps build the borders. A plan lives as long as the call or run
-    that built it.
+    gives an image's coefficients in the synthesis basis. borders is the
+    Gram border form of the synthesis basis: None when it is orthonormal,
+    else one (c1, c2) pair of split border vectors. The spectral order
+    and the borders are computed on first use, so a restore never sorts
+    (count truncation selects, see _largest) and only sweeps build the
+    borders. A plan lives as long as the call or run that built it.
     """
 
     def __init__(self, op, basis):
@@ -274,7 +278,7 @@ class _Plan:
             self.analysis = lambda x: u1.T @ x @ u2
             self.synthesis = lambda x: v1t.T @ x @ v2t
             self.coordinates = lambda x: v1t @ x @ v2t.T
-            self.borders = (None, None)  # both singular bases are orthonormal
+            self.borders = None  # both singular bases are orthonormal
 
     @cached_property
     def order(self):
@@ -294,22 +298,14 @@ class _Plan:
 
     @cached_property
     def borders(self):
-        """Per axis, the Gram matrix S^T S of the eigenbasis synthesis.
+        """The Gram border vectors of the eigenbasis synthesis.
 
-        Each entry is None where the basis is orthonormal, else the (m, 2)
-        vectors c_b with S^T S = I + sum_b (e_b c_b^T + c_b e_b^T) over the
-        border indices b = 0, m-1: the columns E[:, 0] and E[:, m-1] of
-        spectrum.synthesis_gram, each with half of the corner entry
-        E[0, m-1] that the two share.
+        None where the basis is orthonormal on both axes, else one (c1, c2)
+        pair of (m, 2) arrays, the vectors c_b with
+        S^T S = I + sum_b (e_b c_b^T + c_b e_b^T) over the border indices
+        b = 0, m-1 of each axis (spectrum.synthesis_gram).
         """
-        borders = []
-        for cols in synthesis_gram(self.op.bc, self.op.shape):
-            if cols is not None:
-                cols = cols.copy()
-                cols[-1, 0] *= 0.5
-                cols[0, 1] *= 0.5
-            borders.append(cols)
-        return tuple(borders)
+        return synthesis_gram(self.op.bc, self.op.shape)
 
 
 def _plan(op, method):
@@ -413,7 +409,8 @@ def _gram_pairs(borders):
     """The terms w * D[x] * D[y] of the quadratic form sum <D, G1 D G2>.
 
     G1 and G2 are the per-axis synthesis Gram matrices I + E given by
-    _Plan.borders. Expanding <D, D + E1 D + D E2 + E1 D E2> with
+    _Plan.borders; with borders None both are the identity and nothing
+    is yielded. Expanding <D, D + E1 D + D E2 + E1 D E2> with
     E = sum_b (e_b c_b^T + c_b e_b^T) leaves O(N) entry pairs: each
     entry with itself (the plain sum of squares, not yielded here), each
     border entry with its row or column, each corner with the whole
@@ -422,20 +419,19 @@ def _gram_pairs(borders):
     broadcastable x and y entries, and the broadcastable weight of each
     pair.
     """
+    if borders is None:
+        return
     c1, c2 = borders
     full = (_ALL, _ALL)
-    if c1 is not None:
-        for k, b in enumerate(_BORDERS):
-            yield (b, _ALL), full, 2.0 * c1[:, k, None]
-    if c2 is not None:
-        for k, d in enumerate(_BORDERS):
-            yield (_ALL, d), full, 2.0 * c2[:, k]
-    if c1 is not None and c2 is not None:
-        for k, b in enumerate(_BORDERS):
-            for l, d in enumerate(_BORDERS):
-                w = 2.0 * np.multiply.outer(c1[:, k], c2[:, l])
-                yield (b, d), full, w
-                yield (_ALL, d), (b, _ALL), w
+    for k, b in enumerate(_BORDERS):
+        yield (b, _ALL), full, 2.0 * c1[:, k, None]
+    for k, d in enumerate(_BORDERS):
+        yield (_ALL, d), full, 2.0 * c2[:, k]
+    for k, b in enumerate(_BORDERS):
+        for l, d in enumerate(_BORDERS):
+            w = 2.0 * np.multiply.outer(c1[:, k], c2[:, l])
+            yield (b, d), full, w
+            yield (_ALL, d), (b, _ALL), w
 
 
 def _gram_norm_sq(y, borders):
@@ -446,19 +442,16 @@ def _gram_norm_sq(y, borders):
     """
     y = y.reshape((-1,) + y.shape[-2:])
     total = np.vdot(y, y)
+    if borders is None:
+        return total
     c1, c2 = borders
     ends = [0, -1]
-    if c1 is not None:
-        u1 = c1.T @ y
-        total += 2.0 * np.vdot(y[:, ends, :], u1)
-    if c2 is not None:
-        v2 = y @ c2
-        total += 2.0 * np.vdot(y[:, :, ends], v2)
-    if c1 is not None and c2 is not None:
-        total += 2.0 * (
-            np.vdot(y[:, ends][:, :, ends], u1 @ c2)
-            + np.vdot(u1[:, :, ends], v2[:, ends, :])
-        )
+    u1, v2 = c1.T @ y, y @ c2
+    total += 2.0 * np.vdot(y[:, ends, :], u1)
+    total += 2.0 * np.vdot(y[:, :, ends], v2)
+    total += 2.0 * (
+        np.vdot(y[:, ends][:, :, ends], u1 @ c2) + np.vdot(u1[:, :, ends], v2[:, ends, :])
+    )
     return total
 
 
@@ -582,10 +575,18 @@ def default_mu_grid():
 
 
 def log_mu_grid(lo, hi, count):
-    """count log-spaced weights from lo to hi, checked as sweep checks a grid."""
-    ends = _check_mu_grid((lo, hi))
-    count = _check_int(count, "mu count", 1)
-    return _check_mu_grid(np.logspace(*np.log10(ends), count))
+    """count log-spaced weights from lo to hi, checked as sweep checks a grid.
+
+    A bad value raises InvalidParameterError naming it as the config key
+    that holds it: mu_lo, mu_hi or mu_count. Ends that give no strictly
+    increasing grid are reported with all three values.
+    """
+    ends = [_check_real(lo, "mu_lo"), _check_real(hi, "mu_hi")]
+    count = _check_int(count, "mu_count", 1)
+    try:
+        return _check_mu_grid(np.logspace(*np.log10(_check_mu_grid(ends)), count))
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"mu_lo={lo}, mu_hi={hi}, mu_count={count}: {exc}") from None
 
 
 def _check_mu_grid(mu_grid):

@@ -105,7 +105,7 @@ def gaussian_mask(half_support, sigma):
     g1 = np.exp(-0.5 * (np.arange(q1 + 1) / s1) ** 2)
     g2 = np.exp(-0.5 * (np.arange(q2 + 1) / s2) ** 2)
     quad = np.outer(g1, g2)
-    return mask_from_weights(_mirror_quadrant(quad))
+    return mask_from_weights(np.pad(quad, ((q1, 0), (q2, 0)), mode="reflect"))
 
 
 def out_of_focus_mask(half_support, radius):
@@ -129,7 +129,7 @@ def out_of_focus_mask(half_support, radius):
         np.add.outer(np.arange(q1 + 1) ** 2, np.arange(q2 + 1) ** 2)
         <= radius**2
     ).astype(float)
-    return mask_from_weights(_mirror_quadrant(quad))
+    return mask_from_weights(np.pad(quad, ((q1, 0), (q2, 0)), mode="reflect"))
 
 
 def symmetrize(mask):
@@ -307,14 +307,3 @@ def load_mask(path):
     w = np.array(rows)
     raw_sum = float(w.sum())
     return mask_from_weights(w), raw_sum
-
-
-def _mirror_quadrant(quad):
-    """Expand nonnegative-quadrant values to the full signed support."""
-    full = np.block(
-        [
-            [quad[:0:-1, :0:-1], quad[:0:-1, :]],
-            [quad[:, :0:-1], quad],
-        ]
-    )
-    return full

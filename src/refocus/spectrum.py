@@ -63,10 +63,13 @@ class EigenGrid:
 
 def eigen_grid_reflective(mask, shape):
     """Eigenvalues of the reflective blur operator of the given shape."""
-    n1, n2 = _check_shape(shape)
-    x1 = np.arange(n1) * np.pi / n1
-    x2 = np.arange(n2) * np.pi / n2
-    return EigenGrid(values=generating_function(mask, x1, x2), algebra="dct3")
+    nodes = (np.arange(n) * np.pi / n for n in _check_shape(shape))
+    return EigenGrid(values=generating_function(mask, *nodes), algebra="dct3")
+
+
+def _sine_nodes(m):
+    """The sine-algebra nodes r*pi/(m+1), r = 1..m."""
+    return np.arange(1, m + 1) * np.pi / (m + 1)
 
 
 def tau_eigenvalues(weights, m):
@@ -79,23 +82,19 @@ def tau_eigenvalues(weights, m):
     m : int
         Matrix size; samples the symbol at r*pi/(m+1), r = 1..m.
     """
-    m = _check_int(m, "matrix size", 1)
-    x = np.arange(1, m + 1) * np.pi / (m + 1)
-    return generating_function_1d(weights, x)
+    return generating_function_1d(weights, _sine_nodes(_check_int(m, "matrix size", 1)))
 
 
 def eigen_grid_tau(mask, shape):
     """Two-level sine-algebra eigenvalues of a strongly symmetric mask."""
-    n1, n2 = _check_shape(shape)
-    x1 = np.arange(1, n1 + 1) * np.pi / (n1 + 1)
-    x2 = np.arange(1, n2 + 1) * np.pi / (n2 + 1)
-    return EigenGrid(values=generating_function(mask, x1, x2), algebra="tau")
+    nodes = map(_sine_nodes, _check_shape(shape))
+    return EigenGrid(values=generating_function(mask, *nodes), algebra="tau")
 
 
 def eigen_grid_ar(mask, shape):
     """Eigenvalues of the anti-reflective blur operator.
 
-    The node vector per axis is [0, j*pi/(m-1) for j = 1..m-2, 0]; the
+    The node vector per axis is [0, sine nodes of size m-2, 0]; the
     duplicated zero nodes produce the four exact unit eigenvalues at the
     corners and pair each edge with the condensed 1-D mask spectrum.
     """
@@ -105,11 +104,7 @@ def eigen_grid_ar(mask, shape):
     require_strong_symmetry(mask)
     reach = _support_reach(mask.weights)
     _check_support(reach, (n1, n2), BoundaryCondition.ANTIREFLECTIVE, spectral=True)
-    g1 = np.zeros(n1)
-    g1[1 : n1 - 1] = np.arange(1, n1 - 1) * np.pi / (n1 - 1)
-    g2 = np.zeros(n2)
-    g2[1 : n2 - 1] = np.arange(1, n2 - 1) * np.pi / (n2 - 1)
-    values = generating_function(mask, g1, g2)
+    values = generating_function(mask, *(np.pad(_sine_nodes(n - 2), 1) for n in (n1, n2)))
     values[0, 0] = values[0, -1] = values[-1, 0] = values[-1, -1] = 1.0
     return EigenGrid(values=values, algebra="ar")
 
@@ -121,7 +116,7 @@ class _SpectralBasis(NamedTuple):
     analysis: TransformKind
     analysis_transposed: bool
     synthesis: TransformKind
-    gram: Callable | None  # m -> (m, 2) off-identity Gram columns; None if orthonormal
+    gram: Callable | None  # m -> (m, 2) split Gram border columns; None if orthonormal
 
 
 _BASES = {
@@ -193,14 +188,14 @@ def synthesis_kind(bc):
 
 
 def synthesis_gram(bc, shape):
-    """Per-axis off-identity parts of the synthesis Gram matrices S^T S.
+    """Off-identity parts of the synthesis Gram matrices S^T S, per axis.
 
-    One entry per axis of shape: None where the basis is orthonormal
-    (reflective), else the (m, 2) columns [E[:, 0], E[:, m-1]] of the
-    border-supported E = S^T S - I (anti-reflective, see ramp_gram).
+    None where the basis is orthonormal on both axes (reflective), else
+    one (c1, c2) pair: for each axis of shape, the (m, 2) split border
+    columns of E = S^T S - I (anti-reflective, see ramp_gram).
     """
     gram = _basis(bc).gram
-    return tuple(None if gram is None else gram(n) for n in shape)
+    return None if gram is None else tuple(gram(n) for n in shape)
 
 
 def sort_spectrum(grid):

@@ -88,19 +88,22 @@ def ramp_vector(m):
 
 
 def ramp_gram(m):
-    """Off-identity columns of the ramp-bordered basis Gram matrix.
+    """Border columns of the ramp-bordered basis Gram matrix, split in two.
 
     With S = dense_transform(AR, m), S^T S = I + E, where E is symmetric
     and vanishes outside rows and columns 0 and m-1: the interior sine
     columns are orthonormal and the two ramp columns have unit length.
-    Returns the (m, 2) array [E[:, 0], E[:, m-1]], computed in
-    O(m log m): E[:, 0] = [0, DST-I(p)/alpha, p.p~/alpha^2], and E[:, m-1]
-    is the same with the ramp p reversed into p~.
+    Returns the (m, 2) array [c_0, c_{m-1}] with
+    E = sum_b (e_b c_b^T + c_b e_b^T) over b = 0, m-1: the columns
+    E[:, 0] and E[:, m-1], each holding half of the corner entry
+    E[0, m-1] that the two share. Computed in O(m log m):
+    c_0 = [0, DST-I(p)/alpha, p.p~/(2 alpha^2)], and c_{m-1} is the
+    same with the ramp p reversed into p~.
     """
     rv = ramp_vector(m)
     cols = np.zeros((m, 2))
     cols[1:-1] = dst1_apply(np.stack([rv.p, rv.p[::-1]], axis=1), axis=0) / rv.alpha
-    cols[-1, 0] = cols[0, 1] = math.fsum(rv.p * rv.p[::-1]) / rv.alpha**2
+    cols[-1, 0] = cols[0, 1] = math.fsum(rv.p * rv.p[::-1]) / rv.alpha**2 * 0.5
     return cols
 
 

@@ -291,6 +291,15 @@ def test_cli_tikhonov_sweep_takes_the_mu_flags(tmp_path, capsys):
     r.save_curve_csv(r.mu_sweep(g, op, f, log_mu_grid(1e-5, 0.5, 7)), expected)
     assert curve.read_bytes() == expected.read_bytes()
     capsys.readouterr()
+    # a bad range is named by the key that holds the bad value
+    for flag, value in (("--mu-lo", "0"), ("--mu-hi", "1e-9"), ("--mu-count", "0")):
+        assert main([
+            "sweep", "--image", str(blurred), "--reference", str(truth),
+            "--psf", "gaussian:1:0.9", "--bc", "reflective", "--method", "tikhonov",
+            flag, value, "--out", str(tmp_path / "never.csv"),
+        ]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_cli_sweep_rejects_bad_max_terms(tmp_path, capsys):
@@ -451,14 +460,17 @@ def test_cli_rejects_non_finite_mix(tmp_path, capsys):
 )
 def test_config_rejects_bad_sweep_settings_before_running(tmp_path, field, value):
     out = tmp_path / "never"
-    with pytest.raises(r.ConfigError):
+    with pytest.raises(r.ConfigError) as direct:
         r.ExperimentConfig(
             scene="sinusoids:8x8", psf="identity", out=str(out), **{field: value}
         )
     overrides = ["scene=sinusoids:8x8", "psf=identity", f"out={out}", f"{field}={value}"]
-    with pytest.raises(r.ConfigError):
+    with pytest.raises(r.ConfigError) as parsed:
         r.load_config(None, overrides)
     assert not out.exists()
+    # every message names the key and the value it rejects
+    for exc in (direct, parsed):
+        assert field in str(exc.value) and str(value) in str(exc.value)
 
 
 def test_config_stores_integer_like_sweep_settings():

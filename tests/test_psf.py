@@ -21,6 +21,26 @@ def test_gaussian_is_bitwise_symmetric():
     assert np.array_equal(w, w[:, ::-1])
 
 
+def _mirror_quadrant_by_blocks(quad):
+    """The block construction the masks were mirrored with before np.pad."""
+    return np.block([[quad[:0:-1, :0:-1], quad[:0:-1, :]], [quad[:, :0:-1], quad]])
+
+
+@pytest.mark.parametrize("q1", range(6))
+@pytest.mark.parametrize("q2", range(6))
+def test_masks_match_block_mirrored_quadrant(q1, q2):
+    g1 = np.exp(-0.5 * (np.arange(q1 + 1) / 0.9) ** 2)
+    g2 = np.exp(-0.5 * (np.arange(q2 + 1) / 1.7) ** 2)
+    gauss = r.mask_from_weights(_mirror_quadrant_by_blocks(np.outer(g1, g2)))
+    radius = 0.5 + 0.8 * max(q1, q2)
+    disk = np.add.outer(np.arange(q1 + 1) ** 2, np.arange(q2 + 1) ** 2) <= radius**2
+    disk = r.mask_from_weights(_mirror_quadrant_by_blocks(disk.astype(float)))
+    for expected, mask in ((gauss, r.gaussian_mask((q1, q2), (0.9, 1.7))),
+                           (disk, r.out_of_focus_mask((q1, q2), radius))):
+        assert mask.weights.shape == (2 * q1 + 1, 2 * q2 + 1)
+        assert mask.weights.tobytes() == expected.weights.tobytes()
+
+
 def test_mask_sums_to_one():
     for mask in (
         r.gaussian_mask((3, 3), 2.0),

@@ -69,20 +69,74 @@ def test_curve_matches_restorations(n1, n2, method, bc, color, rho):
 def test_ramp_gram_matches_dense_basis(m):
     s = r.dense_transform(TransformKind.AR, m)
     cols = transforms.ramp_gram(m)
+    # E = sum_b (e_b c_b^T + c_b e_b^T): the split columns share the corner
     e = np.zeros((m, m))
-    e[:, 0] = e[0, :] = cols[:, 0]
-    e[:, -1] = e[-1, :] = cols[:, 1]
+    for k, b in enumerate((0, m - 1)):
+        e[:, b] += cols[:, k]
+        e[b, :] += cols[:, k]
     assert np.abs(s.T @ s - np.eye(m) - e).max() <= 1e-13
 
 
 def test_synthesis_gram_and_kind_per_rule():
-    assert spectrum.synthesis_gram(BC.REFLECTIVE, (5, 6)) == (None, None)
+    assert spectrum.synthesis_gram(BC.REFLECTIVE, (5, 6)) is None
     g1, g2 = spectrum.synthesis_gram(BC.ANTIREFLECTIVE, (5, 6))
     assert g1.shape == (5, 2) and g2.shape == (6, 2)
     assert r.synthesis_kind(BC.REFLECTIVE) is TransformKind.DCT3
     assert r.synthesis_kind(BC.ANTIREFLECTIVE) is TransformKind.AR
     with pytest.raises(r.UnsupportedAlgebraError):
         r.synthesis_kind(BC.PERIODIC)
+
+
+def _dense_synthesis(plan, basis):
+    """The per-axis synthesis matrices S1, S2 of a plan, built densely."""
+    op = plan.op
+    if basis == "eigen":
+        return [r.dense_transform(r.synthesis_kind(op.bc), n) for n in op.shape]
+    factors = r.separable_factors(op.mask)
+    return [np.linalg.svd(r.assemble_dense_1d(w, n, op.bc))[2].T
+            for w, n in zip(factors, op.shape)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n1=st.integers(3, 14),
+    n2=st.integers(3, 14),
+    bc=st.sampled_from(RULES),
+    basis=st.sampled_from(("eigen", "svd")),
+    channels=st.sampled_from((None, 3)),
+    seed=st.integers(0, 2**16),
+)
+@example(n1=13, n2=7, bc=BC.ANTIREFLECTIVE, basis="eigen", channels=3, seed=0)
+@example(n1=3, n2=11, bc=BC.ANTIREFLECTIVE, basis="eigen", channels=None, seed=1)
+def test_gram_form_matches_dense_synthesis(n1, n2, bc, basis, channels, seed):
+    half = tuple(1 if n >= 4 else 0 for n in (n1, n2))
+    op = r.BlurOperator(r.gaussian_mask(half, (0.9, 1.3)), bc, (n1, n2))
+    plan = filtering._Plan(op, basis)
+    s1, s2 = _dense_synthesis(plan, basis)
+    rng = np.random.default_rng(seed)
+    shape = (n1, n2) if channels is None else (channels, n1, n2)
+    coef, target, d = (rng.standard_normal(shape) for _ in range(3))
+
+    def dense_norm_sq(y):
+        return np.sum((s1 @ y @ s2.T) ** 2, axis=(-3, -2, -1) if y.ndim > 3 else None)
+
+    expected = dense_norm_sq(d)
+    assert abs(filtering._gram_norm_sq(d, plan.borders) - expected) <= 1e-12 * expected
+    # D_k holds coef/lam - target on the k first usable indices of the
+    # stable spectral order and -target elsewhere
+    lam = plan.lam.ravel()
+    order = np.argsort(-np.abs(lam), kind="stable")
+    usable = int(np.count_nonzero(np.abs(lam) >= filtering.ZERO_SPECTRUM_TOL))
+    position = np.empty(lam.size, dtype=int)
+    position[order] = np.arange(lam.size)
+    flat_target = target.reshape(-1, lam.size)
+    resid = coef.reshape(-1, lam.size) / lam - flat_target
+    kept = (position < np.arange(1, usable + 1)[:, None])[:, None, :]
+    d_k = np.where(kept, resid, -flat_target).reshape((usable, -1, n1, n2))
+    expected = dense_norm_sq(d_k)
+    errors = filtering._truncation_errors(coef, plan, target, None)
+    assert errors.shape == (usable,)
+    assert np.all(np.abs(errors - expected) <= 1e-12 * expected)
 
 
 @pytest.mark.parametrize("bc", RULES)

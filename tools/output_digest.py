@@ -1,0 +1,131 @@
+"""Digest every output of a fixed set of refocus requests.
+
+Usage: python tools/output_digest.py
+
+Runs fixed blur, restore, sweep and experiment requests through
+refocus.cli.main in a temporary directory:
+
+* blurs under all four boundary rules, gray and color;
+* restores and sweeps under both spectral rules, gray and color, with
+  every method;
+* one anti-reflective side above 514, so the sine transform of its
+  interior takes the chirp-convolution path;
+* a gray and a color experiment over both spectral rules, every method
+  and two noise levels.
+
+Prints one line, "<files> <sha256>": the number of files the requests
+made, and one sha256 over each file's relative path and bytes in sorted
+path order. The standard output of every request counts as one more
+file. Two builds that print the same line wrote the same bytes.
+
+refocus is imported from the Python path, so
+PYTHONPATH=<checkout>/src digests that checkout. Nothing is written
+into the checkout. Standard library, numpy and refocus only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import refocus as r
+from refocus.cli import main as refocus_main
+
+PSF = "gaussian:2:1.1"
+MIX = "0.7,0.2,0.1,0.25,0.5,0.25,0.15,0.1,0.75"
+SPECTRAL = ("reflective", "antireflective")
+# per method: the filter setting of a restore and the cap of a sweep
+FILTERS = {
+    "tsd": ["--count", "150"],
+    "tsvd": ["--count", "90"],
+    "tikhonov": ["--mu", "1e-3"],
+}
+SWEEPS = {"tsd": [], "tsvd": ["--max-terms", "60"], "tikhonov": ["--mu-count", "12"]}
+
+
+def _inputs():
+    """Write the reference images; return [(name, path, mix arguments)]."""
+    gray = r.low_frequency_scene((24, 20)) + 0.05 * r.standard_normal_field(1, (24, 20))
+    r.write_matrix("gray.txt", np.clip(gray, 0.0, 1.0))
+    r.write_image("color.ppm", r.low_frequency_scene_color((22, 18)), 65535)
+    # an anti-reflective interior of 514: one past the direct sine limit
+    r.write_matrix("long.txt", r.low_frequency_scene((516, 7)))
+    return [
+        ("gray", "gray.txt", []),
+        ("color", "color.ppm", ["--mix", MIX]),
+        ("long", "long.txt", []),
+    ]
+
+
+def _requests(inputs):
+    """Every request on the inputs, as CLI argument lists, in a fixed order."""
+    requests = []
+    for name, path, mix in inputs:
+        suffix = Path(path).suffix
+        rules = ("reflective", "antireflective", "periodic", "zero")
+        if name == "long":
+            rules = ("antireflective",)
+        for bc in rules:
+            blurred = f"blur_{name}_{bc}{suffix}"
+            common = ["--psf", PSF, "--bc", bc] + mix
+            requests.append(["blur", "--image", path, "--out", blurred, "--rho", "0.01",
+                             "--seed", "3", "--maxval", "65535"] + common)
+            if bc not in SPECTRAL:
+                continue
+            for method in FILTERS:
+                data = ["--image", blurred, "--method", method] + common
+                requests.append(["restore", "--out", f"restore_{name}_{bc}_{method}{suffix}",
+                                 "--maxval", "65535"] + FILTERS[method] + data)
+                requests.append(["sweep", "--out", f"sweep_{name}_{bc}_{method}.csv",
+                                 "--reference", path] + SWEEPS[method] + data)
+        requests.append(["restore", "--image", f"blur_{name}_antireflective{suffix}",
+                         "--out", f"threshold_{name}{suffix}", "--method", "tsd",
+                         "--threshold", "0.05", "--psf", PSF, "--bc", "antireflective"] + mix)
+    for name, extra in (("gray", []), ("color", ["--set", f"mix={MIX}"])):
+        sets = ["scene=sinusoids:40x36", f"psf={PSF}", "bc=reflective,antireflective",
+                "method=tsd,tsvd,tikhonov", "rho=0.01,0.05", "seed=2", "mu_count=10"]
+        requests.append(["experiment", "--out", f"experiment_{name}"]
+                        + [arg for item in sets for arg in ("--set", item)] + extra)
+    return requests
+
+
+def digest(root):
+    """The file count and the sha256 of every file under root."""
+    sha = hashlib.sha256()
+    files = sorted(p for p in Path(root).rglob("*") if p.is_file())
+    for path in files:
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix().encode()
+        sha.update(b"%d:%s%d:" % (len(name), name, len(data)))
+        sha.update(data)
+    return len(files), sha.hexdigest()
+
+
+def main():
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            stdout = io.StringIO()
+            for argv in _requests(_inputs()):
+                with contextlib.redirect_stdout(stdout):
+                    code = refocus_main(argv)
+                if code != 0:
+                    raise SystemExit(f"refocus {' '.join(argv)} exited {code}")
+            Path("stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+            files, sha = digest(work)
+        finally:
+            os.chdir(start)
+    print(f"{files} {sha}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
