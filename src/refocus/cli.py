@@ -20,10 +20,8 @@ from .experiment import (
     load_config,
     parse_mix_spec,
     parse_psf_spec,
-    read_by_suffix,
     resolve_mixing,
     run_experiment,
-    write_by_suffix,
 )
 from .filtering import (
     DEFAULT_MU_RANGE,
@@ -36,7 +34,7 @@ from .filtering import (
     save_curve_csv,
     sweep,
 )
-from .imageio import _MAXVALS
+from .imageio import _MAXVALS, read_by_suffix, write_by_suffix
 from .metrics import NoiseSpec, add_noise
 from .operators import BlurOperator, BoundaryCondition, apply_blur
 

@@ -33,7 +33,7 @@ from .filtering import (
     log_mu_grid,
     save_curve_csv,
 )
-from .imageio import _check_maxval, read_image, read_matrix, write_image, write_matrix
+from .imageio import _check_maxval, read_by_suffix, write_image
 from .metrics import NoiseSpec, _picard_data, add_noise, save_picard_csv
 from .operators import (
     _SYMMETRIC_RULES, BlurOperator, BoundaryCondition, _check_shape, blur_oversized_scene,
@@ -287,27 +287,6 @@ def parse_psf_spec(spec):
             raise
         raise ConfigError(f"invalid psf spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown psf spec {spec!r}")
-
-
-def _is_image(path):
-    """True for a .pgm/.ppm path, False for .txt; other suffixes are errors."""
-    suffix = Path(path).suffix.lower()
-    if suffix not in (".pgm", ".ppm", ".txt"):
-        raise ConfigError(f"unsupported file type {suffix!r} for {path}")
-    return suffix != ".txt"
-
-
-def read_by_suffix(path):
-    """Read a .pgm/.ppm image or a .txt matrix, chosen by the file suffix."""
-    return read_image(path) if _is_image(path) else read_matrix(path)
-
-
-def write_by_suffix(path, image, maxval):
-    """Write a .pgm/.ppm image at maxval or a .txt matrix, by the file suffix."""
-    if _is_image(path):
-        write_image(path, image, maxval)
-    else:
-        write_matrix(path, image)
 
 
 def resolve_mixing(data, mix):

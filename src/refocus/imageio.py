@@ -1,20 +1,27 @@
-"""Image and matrix file IO.
+"""Image, matrix and table file IO: every file format of the package.
 
 Binary netpbm rasters (PGM type P5 for grayscale, PPM type P6 for
 color) carry quantized pixel data; plain text files carry exact float
 matrices. Pixels map to [0, 1] on read by dividing by the maxval and
 are quantized on write by round half up, so a read/write cycle at the
 same maxval reproduces the file byte for byte.
+
+Every text table is read by _read_rows (a .txt matrix, and the body of
+a mask file under its header) and written by _write_table ('%.17g'
+values: .txt matrices, mask files and the CSV outputs). A path's suffix
+picks between image and matrix in one place, _is_image.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameterError, _check_finite, _check_int
+from .errors import ConfigError, FormatError, InvalidParameterError, SizeMismatchError
+from .errors import _check_finite, _check_int
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _MAXVALS = (255, 65535)
@@ -22,7 +29,7 @@ _MAXVALS = (255, 65535)
 # header token. The token is empty only at the end of the data or at a
 # comment with no newline.
 _TOKEN = re.compile(rb"(?:[%s]+|#[^\n]*\n)*([^%s#]*)" % (_WHITESPACE, _WHITESPACE))
-# Rows formatted per write by _write_csv.
+# Rows formatted per write by _write_table.
 _CSV_BLOCK = 4096
 
 
@@ -133,13 +140,17 @@ def write_image(path, image, maxval=255):
         fh.write(samples.astype(dtype).tobytes())
 
 
-def read_matrix(path):
-    """Read a whitespace separated text matrix of finite floats."""
+def _read_rows(source, path):
+    """The one text-table reader: rows of finite floats, as a 2-D array.
+
+    source is a path or an open text file, read from where it stands to
+    its end; blank lines and '#' comments are skipped. Errors name path.
+    """
     try:
         with warnings.catch_warnings():
             # numpy warns on a file without data; the size check below rejects it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(path, dtype=float, ndmin=2)
+            values = np.loadtxt(source, dtype=float, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"invalid matrix file {path}: {exc}") from exc
     if values.size == 0:
@@ -149,28 +160,68 @@ def read_matrix(path):
     return values
 
 
+def read_matrix(path):
+    """Read a whitespace separated text matrix of finite floats."""
+    return _read_rows(path, path)
+
+
 def write_matrix(path, values):
-    """Write a 2-D float array as text, one row per line, full precision."""
+    """Write a non-empty 2-D float array as text, one row per line, full precision."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise InvalidParameterError(f"matrix must be 2-D, got shape {values.shape}")
-    _check_finite(values, "matrix")
-    np.savetxt(path, values, fmt="%.17g")
+    if values.size == 0:
+        raise InvalidParameterError("matrix must be non-empty")
+    _write_table(path, values, " ")
 
 
-def _write_csv(path, header, *columns):
-    """Write a header line, then '%.17g' rows of equal-length 1-D columns.
+def _write_table(path, table, sep, header=None):
+    """The one text-table writer: an optional header line, then '%.17g' rows.
 
-    Each block of _CSV_BLOCK rows is formatted by one '%' of a repeated
-    row template and written at once, so a long column never holds a
-    Python object per value all at the same time. Integer columns format
-    as format(v, '.17g') does, through float, so the text equals that of
-    a per-value format() loop.
+    Values are joined by sep. NaN or inf raises InvalidParameterError
+    before the file is opened. Each block of _CSV_BLOCK rows is
+    formatted by one '%' of a repeated row template and written at once,
+    so a long table never holds a Python object per value all at the
+    same time. Integer tables format as format(v, '.17g') does, through
+    float, so the text equals that of a per-value format() loop.
     """
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    _check_finite(table, "table")
+    row = sep.join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
+        if header is not None:
+            fh.write(header + "\n")
         for start in range(0, len(table), _CSV_BLOCK):
             block = table[start : start + _CSV_BLOCK]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_csv(path, header, *columns):
+    """Write a header line, then comma separated rows of equal-length 1-D columns.
+
+    Columns of other shapes raise SizeMismatchError, and NaN or inf
+    raises InvalidParameterError, both before the file is opened.
+    """
+    if np.ndim(columns[0]) != 1 or len({np.shape(c) for c in columns}) != 1:
+        raise SizeMismatchError("columns must be equal-length 1-D arrays")
+    _write_table(path, np.column_stack(columns), ",", header)
+
+
+def _is_image(path):
+    """True for a .pgm/.ppm path, False for .txt; other suffixes are errors."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".pgm", ".ppm", ".txt"):
+        raise ConfigError(f"unsupported file type {suffix!r} for {path}")
+    return suffix != ".txt"
+
+
+def read_by_suffix(path):
+    """Read a .pgm/.ppm image or a .txt matrix, chosen by the file suffix."""
+    return read_image(path) if _is_image(path) else read_matrix(path)
+
+
+def write_by_suffix(path, image, maxval):
+    """Write a .pgm/.ppm image at maxval or a .txt matrix, by the file suffix."""
+    if _is_image(path):
+        write_image(path, image, maxval)
+    else:
+        write_matrix(path, image)

@@ -200,13 +200,8 @@ def _picard_data(g, plan):
 def save_picard_csv(path, magnitudes, coefficients):
     """Write Picard plot data as CSV with columns abs_value,abs_coef.
 
-    NaN or inf in either column raises InvalidParameterError before the
+    Columns that are not equal-length 1-D raise SizeMismatchError, and
+    NaN or inf in either raises InvalidParameterError, both before the
     file is opened.
     """
-    magnitudes = np.asarray(magnitudes, dtype=float)
-    coefficients = np.asarray(coefficients, dtype=float)
-    if magnitudes.shape != coefficients.shape or magnitudes.ndim != 1:
-        raise SizeMismatchError("magnitudes and coefficients must be equal-length 1-D")
-    _check_finite(magnitudes, "magnitudes")
-    _check_finite(coefficients, "coefficients")
     _write_csv(path, "abs_value,abs_coef", magnitudes, coefficients)

@@ -18,9 +18,11 @@ from .errors import (
     FormatError,
     InvalidParameterError,
     NotSeparableError,
+    _check_finite,
     _check_int,
     _check_real,
 )
+from .imageio import _read_rows, _write_table
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,7 @@ class PsfMask:
             raise InvalidParameterError(
                 f"mask must be 2-D with odd side lengths, got shape {w.shape}"
             )
-        if not np.isfinite(w).all():
-            raise InvalidParameterError("mask weights must be finite")
+        _check_finite(w, "mask weights")
         if (w < 0).any():
             raise InvalidParameterError("mask weights must be nonnegative")
         s = w.sum()
@@ -71,7 +72,7 @@ def mask_from_weights(weights):
     -------
     PsfMask
     """
-    w = np.array(weights, dtype=float)
+    w = _check_finite(np.array(weights, dtype=float), "mask weights")
     s = w.sum()
     if not s > 0:
         raise InvalidParameterError("mask weights must have positive sum")
@@ -267,14 +268,15 @@ def separable_factors(mask):
 def save_mask(mask, path):
     """Write a mask as text: a 'q1 q2' header then the weight rows."""
     q1, q2 = mask.half_support
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{q1} {q2}\n")
-        for row in mask.weights:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+    _write_table(path, mask.weights, " ", f"{q1} {q2}")
 
 
 def load_mask(path):
     """Read a mask written by save_mask, normalizing the weights.
+
+    The file is a 'q1 q2' header line, then a text matrix body (as
+    read_matrix reads) of exactly 2*q1+1 rows of 2*q2+1 finite values;
+    anything else raises FormatError.
 
     Returns
     -------
@@ -293,17 +295,8 @@ def load_mask(path):
             raise FormatError(f"{path}: mask header must hold two integers")
         if q1 < 0 or q2 < 0:
             raise FormatError(f"{path}: half supports must be nonnegative")
-        rows = []
-        for i in range(2 * q1 + 1):
-            line = fh.readline().split()
-            if len(line) != 2 * q2 + 1:
-                raise FormatError(
-                    f"{path}: row {i} must hold {2 * q2 + 1} values"
-                )
-            try:
-                rows.append([float(v) for v in line])
-            except ValueError:
-                raise FormatError(f"{path}: row {i} holds a non-number")
-    w = np.array(rows)
-    raw_sum = float(w.sum())
-    return mask_from_weights(w), raw_sum
+        w = _read_rows(fh, path)
+    shape = (2 * q1 + 1, 2 * q2 + 1)
+    if w.shape != shape:
+        raise FormatError(f"{path}: mask body must have shape {shape}, got {w.shape}")
+    return mask_from_weights(w), float(w.sum())

@@ -192,6 +192,14 @@ def test_write_matrix_rejects_non_finite_before_writing(tmp_path):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_write_matrix_rejects_an_empty_matrix_before_writing(tmp_path, shape):
+    path = tmp_path / "empty.txt"
+    with pytest.raises(r.InvalidParameterError, match="non-empty"):
+        r.write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_read_matrix_rejects_non_finite(tmp_path):
     for token in ("nan", "inf", "-inf"):
         path = tmp_path / f"{token}.txt"

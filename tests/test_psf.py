@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,12 +153,64 @@ def test_load_mask_normalizes(tmp_path):
     ("not a header\n", "header must be 'q1 q2'"),
     ("1 x\n0 1 0\n", "header must hold two integers"),
     ("-1 1\n", "half supports must be nonnegative"),
-    ("1 1\n0 2 0\n2 8\n0 2 0\n", "row 1 must hold 3 values"),
-    ("1 1\n0 2 0\n2 x 2\n0 2 0\n", "row 1 holds a non-number"),
+    ("1 1\n0 2 0\n2 8\n0 2 0\n", "number of columns changed"),
+    ("1 1\n0 2 0\n2 x 2\n0 2 0\n", "could not convert string 'x'"),
+    ("1 1\n0 2 0\n2 8 2\n0 2 0\n0 1 0\n", r"must have shape \(3, 3\), got \(4, 3\)"),
+    ("1 1\n0 2 0\n2 8 2\n0 2 0\nnot a row\n", "could not convert string 'not'"),
+    ("1 1\n0 2 0\n2 nan 2\n0 2 0\n", "NaN or inf"),
+    ("1 1\n0 2 0\n2 inf 2\n0 2 0\n", "NaN or inf"),
 ], ids=["header-not-a-pair", "header-not-integers", "negative-half-support", "short-row",
-        "non-number"])
+        "non-number", "extra-row", "trailing-text", "nan-weight", "inf-weight"])
 def test_load_mask_rejects_malformed_files(tmp_path, text, fragment):
     path = tmp_path / "mask.txt"
     path.write_text(text)
-    with pytest.raises(r.FormatError, match=fragment):
-        r.load_mask(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(r.FormatError, match=fragment):
+            r.load_mask(path)
+    assert caught == []
+
+
+def test_load_mask_skips_blank_lines_and_comments(tmp_path):
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text("1 1\n0 2 0\n2 8 2\n0 2 0\n")
+    commented.write_text("1 1\n0 2 0\n\n2 8 2\n# a comment\n0 2 0\n")
+    (a, a_sum), (b, b_sum) = r.load_mask(plain), r.load_mask(commented)
+    assert a.weights.tobytes() == b.weights.tobytes() and a_sum == b_sum
+
+
+def _mask_text_per_value(mask):
+    """The per-value mask writer the shared table writer replaced."""
+    q1, q2 = mask.half_support
+    rows = [" ".join(format(v, ".17g") for v in row) for row in mask.weights]
+    return "\n".join([f"{q1} {q2}"] + rows) + "\n"
+
+
+def _masks_up_to_3():
+    rng = np.random.default_rng(7)
+    for q1 in range(4):
+        for q2 in range(4):
+            yield r.gaussian_mask((q1, q2), (0.3 + 0.4 * q1, 1.7 - 0.3 * q2))
+            yield r.out_of_focus_mask((q1, q2), 0.5 + 0.9 * max(q1, q2))
+            yield r.mask_from_weights(rng.random((2 * q1 + 1, 2 * q2 + 1)))
+
+
+def test_mask_files_keep_their_bytes_and_weight_bits(tmp_path):
+    path = tmp_path / "mask.txt"
+    for mask in _masks_up_to_3():
+        r.save_mask(mask, path)
+        text = _mask_text_per_value(mask)
+        assert path.read_text() == text
+        parsed = np.array([[float(v) for v in line.split()] for line in text.splitlines()[1:]])
+        loaded, raw_sum = r.load_mask(path)
+        assert loaded.weights.tobytes() == r.mask_from_weights(parsed).weights.tobytes()
+        assert raw_sum == float(parsed.sum())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mask_from_weights_checks_finiteness_before_dividing(bad):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(r.InvalidParameterError, match="NaN or inf"):
+            r.mask_from_weights(np.array([[1.0, bad, 1.0]]))
+    assert caught == []

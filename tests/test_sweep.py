@@ -254,3 +254,17 @@ def test_csv_writers_keep_their_bytes(tmp_path):
     assert (tmp_path / "eigen.csv").read_text() == "value\n" + _rows_per_value(
         grid.values.ravel()
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_writers_refuse_non_finite_before_opening(tmp_path, bad):
+    column = np.array([0.5, bad, 0.25])
+    path = tmp_path / "bad.csv"
+    for write in (
+        lambda: r.save_curve_csv(filtering.SweepCurve(np.arange(3), column, "tsd"), path),
+        lambda: r.save_eigen_csv(r.EigenGrid(column[None, :], "dct3"), path),
+        lambda: r.save_picard_csv(path, column, np.ones(3)),
+    ):
+        with pytest.raises(r.InvalidParameterError, match="NaN or inf"):
+            write()
+        assert not path.exists()

@@ -10,6 +10,9 @@ refocus.cli.main in a temporary directory:
   every method;
 * one anti-reflective side above 514, so the sine transform of its
   interior takes the chirp-convolution path;
+* a mask file written by save_mask and read back through --psf
+  file:<path>, in a blur and a restore under both spectral rules;
+* a disk blur, and a color restore without --mix;
 * a gray and a color experiment over both spectral rules, every method
   and two noise levels.
 
@@ -39,6 +42,7 @@ import refocus as r
 from refocus.cli import main as refocus_main
 
 PSF = "gaussian:2:1.1"
+MASK_FILE = "mask.txt"
 MIX = "0.7,0.2,0.1,0.25,0.5,0.25,0.15,0.1,0.75"
 SPECTRAL = ("reflective", "antireflective")
 # per method: the filter setting of a restore and the cap of a sweep
@@ -57,6 +61,7 @@ def _inputs():
     r.write_image("color.ppm", r.low_frequency_scene_color((22, 18)), 65535)
     # an anti-reflective interior of 514: one past the direct sine limit
     r.write_matrix("long.txt", r.low_frequency_scene((516, 7)))
+    r.save_mask(r.gaussian_mask((2, 1), (1.3, 0.7)), MASK_FILE)
     return [
         ("gray", "gray.txt", []),
         ("color", "color.ppm", ["--mix", MIX]),
@@ -88,6 +93,17 @@ def _requests(inputs):
         requests.append(["restore", "--image", f"blur_{name}_antireflective{suffix}",
                          "--out", f"threshold_{name}{suffix}", "--method", "tsd",
                          "--threshold", "0.05", "--psf", PSF, "--bc", "antireflective"] + mix)
+    for bc in SPECTRAL:
+        common = ["--psf", f"file:{MASK_FILE}", "--bc", bc]
+        blurred = f"blur_file_{bc}.txt"
+        requests.append(["blur", "--image", "gray.txt", "--out", blurred] + common)
+        requests.append(["restore", "--image", blurred, "--out", f"restore_file_{bc}.txt",
+                         "--method", "tsd", "--count", "200"] + common)
+    requests.append(["blur", "--image", "gray.txt", "--out", "blur_disk.pgm", "--psf",
+                     "disk:2:1.5", "--bc", "reflective", "--maxval", "65535"])
+    requests.append(["restore", "--image", "blur_color_reflective.ppm", "--out",
+                     "restore_color_nomix.ppm", "--method", "tikhonov", "--mu", "1e-3",
+                     "--psf", PSF, "--bc", "reflective"])
     for name, extra in (("gray", []), ("color", ["--set", f"mix={MIX}"])):
         sets = ["scene=sinusoids:40x36", f"psf={PSF}", "bc=reflective,antireflective",
                 "method=tsd,tsvd,tikhonov", "rho=0.01,0.05", "seed=2", "mu_count=10"]
