@@ -36,7 +36,7 @@ from .filtering import (
 )
 from .imageio import _MAXVALS, read_by_suffix, write_by_suffix
 from .metrics import NoiseSpec, add_noise
-from .operators import BlurOperator, BoundaryCondition, apply_blur
+from .operators import BlurOperator, BoundaryCondition
 
 _BC_NAMES = tuple(bc.value for bc in BoundaryCondition)
 
@@ -53,10 +53,7 @@ def _prepare(args):
 def _cmd_blur(args):
     noise = NoiseSpec(args.rho, args.seed)
     image, op, mixing = _prepare(args)
-    if image.ndim == 3:
-        blurred = cross_channel_blur(image, mixing, op)
-    else:
-        blurred = apply_blur(op, image)
+    blurred = cross_channel_blur(image, mixing, op)
     del image  # free the input before noise and quantization allocate
     if noise.rho > 0:
         blurred, _snr = add_noise(blurred, noise)
@@ -96,9 +93,7 @@ def _cmd_restore(args):
 def _cmd_sweep(args):
     image, op, mixing = _prepare(args)
     reference = read_by_suffix(args.reference)
-    grid = None
-    if args.method == "tikhonov":
-        grid = log_mu_grid(args.mu_lo, args.mu_hi, args.mu_count)
+    grid = log_mu_grid(args.mu_lo, args.mu_hi, args.mu_count)
     curve = sweep(image, op, args.method, reference, mixing, args.max_terms, grid)
     save_curve_csv(curve, args.out)
     print(

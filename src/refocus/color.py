@@ -4,14 +4,17 @@ A color image is an array of shape (3, n1, n2) in RGB channel order.
 Cross-channel blur applies the same spatial operator to every channel
 and then mixes the channels pixelwise with a row-stochastic 3x3 matrix
 M, so the full operator is the Kronecker product of M and the spatial
-operator. Because the two factors commute with the spectral machinery,
-the color filters are the channel-generic core of filtering.py, of
-which gray is the one-channel case with no mixing step. Truncation
-unmixes the three channel coefficients of every kept spectral index by
-the inverse of M. Tikhonov is closed form through the eigendecomposition
-M^T M = V diag(d) V^T: fhat = V (lam / (lam^2 d + mu)) V^T M^T ghat per
-index, so there is no 3x3 solve per index and the work beyond the
-transforms stays linear in the pixel count.
+operator. Gray data is the same model with one channel and M = [1]:
+cross_channel_blur takes mixing None for it, and the filters run the
+one channel core of filtering.py, which sees every image as a
+(C, n1, n2) stack. Because the two factors commute with the spectral
+machinery, truncation unmixes the channel coefficients of every kept
+spectral index by the inverse of M, and Tikhonov is closed form through
+the eigendecomposition M^T M = V diag(d) V^T: fhat = V (lam / (lam^2 d
++ mu)) V^T M^T ghat per index, so there is no 3x3 solve per index and
+the work beyond the transforms stays linear in the pixel count. Mixing
+by the identity is skipped, so color data without a mix pays for no
+mixing pass.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .filtering import Tikhonov, _check_data, _mix, restore
+from .filtering import Tikhonov, _channel_stack, _mix, restore
 from .operators import apply_blur
 
 
@@ -57,10 +60,12 @@ def cross_channel_blur(image, mixing, op):
     """Blur every channel with op, then mix channels pixelwise.
 
     Equivalent to applying the Kronecker product of the mixing matrix
-    and the spatial operator to the channel-stacked image vector.
+    and the spatial operator to the channel-stacked image vector. With
+    mixing None the image is (n1, n2) gray data, blurred as apply_blur
+    blurs it; the result has the shape of image.
     """
-    image = _check_data(image, op, True)
-    return _mix(mixing.matrix, apply_blur(op, image))
+    stack, matrix = _channel_stack(image, op, mixing)
+    return _mix(matrix, apply_blur(op, stack)).reshape(np.shape(image))
 
 
 def color_truncated_sd(g, mixing, op, spec):

@@ -30,6 +30,7 @@ from .filtering import (
     _Plan,
     _restore,
     _sweep,
+    _unmixing,
     log_mu_grid,
     save_curve_csv,
 )
@@ -359,6 +360,9 @@ def run_experiment(config):
     # Picard data always needs the eigenbasis
     bases = dict.fromkeys(["eigen"] + [_BASIS[method] for method in config.methods])
     plans = {(bc, basis): _Plan(ops[bc], basis) for basis in bases for bc in config.bcs}
+    # likewise a mix that truncation cannot unmix
+    if config.mix is not None and set(config.methods) != {"tikhonov"}:
+        _unmixing(config.mix.matrix)
 
     g_clean = blur_oversized_scene(scene, mask)
     if color:

@@ -16,11 +16,15 @@ own basis instead of forming adjoint normal equations, which is what
 re-blurred regularization means: it minimizes the data misfit and the
 penalty measured in analysis coordinates.
 
-One channel-generic core, `restore` and `sweep`, serves gray and color
-data alike: gray is one (n1, n2) channel with no mixing step, color is
-a (3, n1, n2) stack whose channel coefficients are unmixed by the 3x3
-mixing matrix M (see color.py). The per-filter functions here and in
-color.py are thin wrappers over that core.
+One channel core, `restore` and `sweep`, serves gray and color data on
+one path. The entry check turns the data into a (C, n1, n2) channel
+stack and the core mixes and unmixes its channel coefficients by a C x C
+matrix M: gray is the one-channel stack (n1, n2) -> (1, n1, n2) with
+M = [1], color a (3, n1, n2) stack with the 3x3 mixing matrix (see
+color.py). Mixing by the identity returns the channels as they are, so
+gray data, and color data without a mix, pay for no mixing pass. The
+per-filter functions here and in color.py are thin wrappers over that
+core.
 
 The core runs in a filter plan, one per (operator, basis): the
 eigenbasis, shared by tsd and tikhonov, or the singular bases of the
@@ -160,50 +164,68 @@ class SweepCurve:
         return float(self.rres[self.best_index])
 
 
-def _check_data(x, op, color, what="data"):
-    """The one entry check: (n1, n2) gray or (3, n1, n2) color, finite."""
+def _check_data(x, op, channels, what="data"):
+    """The one entry check: finite data as a (C, n1, n2) channel stack.
+
+    channels are the channel counts the caller accepts. One channel is an
+    (n1, n2) gray image, C > 1 channels a (C, n1, n2) array.
+    """
     x = np.asarray(x, dtype=float)
-    expected = (3,) + op.shape if color else op.shape
-    if x.shape != expected:
-        raise SizeMismatchError(f"{what} shape {x.shape} does not match {expected}")
-    return _check_finite(x, what)
+    shapes = [op.shape if c == 1 else (c,) + op.shape for c in channels]
+    if x.shape not in shapes:
+        raise SizeMismatchError(f"{what} shape {x.shape} does not match any of {shapes}")
+    return _check_finite(x, what).reshape((-1,) + op.shape)
+
+
+def _channel_stack(x, op, mixing, what="data"):
+    """x checked as a channel stack, and the C x C matrix that mixes it.
+
+    mixing None takes (n1, n2) gray data, mixed by [1]; a ColorMixing
+    takes (3, n1, n2) color data, mixed by its matrix.
+    """
+    matrix = np.eye(1) if mixing is None else mixing.matrix
+    return _check_data(x, op, [len(matrix)], what), matrix
 
 
 def _mix(matrix, channels):
-    """Mix the channels on the leading axis pixelwise by a 3x3 matrix."""
+    """Mix the channels on the leading axis pixelwise by a C x C matrix.
+
+    Mixing by the identity returns channels itself, so no caller may
+    write to the result in place. The test compares Python lists, which
+    is cheaper than an array comparison for a matrix this small, and a
+    Tikhonov sweep makes it once per mu.
+    """
+    if matrix.tolist() == np.eye(len(matrix)).tolist():
+        return channels
     return np.tensordot(matrix, channels, axes=([1], [0]))
 
 
-def _unmix(coef, mixing):
-    """Apply M^-1 (from the SVD of M, rejecting singular M); gray as is."""
-    if mixing is None:
-        return coef
-    u, s, vt = np.linalg.svd(mixing.matrix)
+def _unmixing(matrix):
+    """M^-1 from the SVD of M; a singular M raises SingularMixingError."""
+    u, s, vt = np.linalg.svd(matrix)
     if s[-1] <= 1e-12 * s[0]:
         raise SingularMixingError("mixing matrix is singular")
-    return _mix((vt.T / s) @ u.T, coef)
+    return (vt.T / s) @ u.T
 
 
-def _tikhonov(coef, lam, mixing):
+def _tikhonov(coef, lam, matrix):
     """Tikhonov coefficients as a function of mu, from fixed coefficients.
 
-    Every spectral index solves (lam^2 M^T M + mu I) fhat = lam M^T ghat,
-    with M = [1] for gray. With eigh(M^T M) = V diag(d) V^T the solution
-    is closed form, fhat = V (lam / (lam^2 d + mu)) V^T M^T ghat, so no
-    index needs a 3x3 solve and one analysis serves a whole mu grid.
+    Every spectral index solves (lam^2 M^T M + mu I) fhat = lam M^T ghat
+    for the C x C mixing matrix M. With eigh(M^T M) = V diag(d) V^T the
+    solution is closed form, fhat = V (lam / (lam^2 d + mu)) V^T M^T ghat,
+    so no index needs a C x C solve and one analysis serves a whole mu
+    grid.
     """
-    if mixing is None:
-        rhs, lam_sq, rotation = lam * coef, lam * lam, None
-    else:
-        m = mixing.matrix
-        d, rotation = np.linalg.eigh(m.T @ m)
-        rhs = lam * _mix(rotation.T @ m.T, coef)
-        lam_sq = (lam * lam) * d[:, None, None]
+    d, rotation = np.linalg.eigh(matrix.T @ matrix)
+    # first, so the lam * lam temporary is freed before rhs is allocated
+    lam_sq = np.multiply.outer(d, lam * lam)
+    rhs = lam * _mix(rotation.T @ matrix.T, coef)
 
     def damped(mu):
         fhat = lam_sq + mu
         np.divide(rhs, fhat, out=fhat)
-        return fhat if rotation is None else _mix(rotation, fhat)
+        return _mix(rotation, fhat)
 
     return damped
 
@@ -318,10 +340,11 @@ def _plan(op, method):
 def restore(g, op, method, spec, mixing=None):
     """Restore data with one filter setting; the core of every restore.
 
-    g is (n1, n2) gray data, or (3, n1, n2) color data blurred across
-    channels by mixing (a ColorMixing). method is one of METHODS; tsvd
-    needs a separable mask. spec is a Tikhonov for tikhonov and a
-    truncation spec otherwise. Returns a RestorationResult.
+    g is (n1, n2) gray data with mixing None, or (3, n1, n2) color data
+    blurred across channels by mixing (a ColorMixing). method is one of
+    METHODS; tsvd needs a separable mask. spec is a Tikhonov for tikhonov
+    and a truncation spec otherwise. Returns a RestorationResult whose
+    image has the shape of g.
     """
     if isinstance(spec, Tikhonov) != (method == "tikhonov"):
         raise InvalidParameterError(f"method {method!r} cannot use {spec!r}")
@@ -330,19 +353,19 @@ def restore(g, op, method, spec, mixing=None):
 
 def _restore(g, plan, method, spec, mixing):
     """restore in a plan already built for method's basis."""
-    g = _check_data(g, plan.op, mixing is not None)
+    stack, matrix = _channel_stack(g, plan.op, mixing)
     if method == "tikhonov":
-        fhat = _tikhonov(plan.analysis(g), plan.lam, mixing)(spec.mu)
+        fhat = _tikhonov(plan.analysis(stack), plan.lam, matrix)(spec.mu)
         parameter, kept, skipped = spec.mu, plan.lam.size, 0
     else:
         keep, skipped = _keep_mask(plan, spec)
-        coef = _unmix(plan.analysis(g), mixing)
+        coef = _mix(_unmixing(matrix), plan.analysis(stack))
         fhat = np.zeros_like(coef)
         np.divide(coef, plan.lam, out=fhat, where=keep)
         parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
         kept = int(keep.sum())
     return RestorationResult(
-        image=plan.synthesis(fhat),
+        image=plan.synthesis(fhat).reshape(np.shape(g)),
         method=method,
         parameter=float(parameter),
         count_kept=kept,
@@ -526,9 +549,8 @@ def sweep(g, op, method, f_true, mixing=None, max_terms=None, mu_grid=None):
 
 def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
     """sweep in a plan already built for method's basis."""
-    color = mixing is not None
-    g = _check_data(g, plan.op, color)
-    f_true = _check_data(f_true, plan.op, color, "reference")
+    g, matrix = _channel_stack(g, plan.op, mixing)
+    f_true, _ = _channel_stack(f_true, plan.op, mixing, "reference")
     true_norm = np.linalg.norm(f_true)
     if not true_norm > 0:
         raise InvalidParameterError("reference image must be nonzero")
@@ -538,11 +560,11 @@ def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
     coef = plan.analysis(g)
     target = plan.coordinates(f_true)
     if method == "tikhonov":
-        damped = _tikhonov(coef, plan.lam, mixing)
+        damped = _tikhonov(coef, plan.lam, matrix)
         params = mu_grid
         err_sq = np.array([_gram_norm_sq(damped(mu) - target, plan.borders) for mu in mu_grid])
     else:
-        err_sq = _truncation_errors(_unmix(coef, mixing), plan, target, max_terms)
+        err_sq = _truncation_errors(_mix(_unmixing(matrix), coef), plan, target, max_terms)
         params = np.arange(1, err_sq.size + 1)
     rres = np.sqrt(np.maximum(err_sq, 0.0)) / true_norm
     return SweepCurve(params=params, rres=rres, method=method)

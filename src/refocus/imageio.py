@@ -29,6 +29,9 @@ _MAXVALS = (255, 65535)
 # header token. The token is empty only at the end of the data or at a
 # comment with no newline.
 _TOKEN = re.compile(rb"(?:[%s]+|#[^\n]*\n)*([^%s#]*)" % (_WHITESPACE, _WHITESPACE))
+# A number as loadtxt reads it: float() syntax in ASCII, with no '_'.
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
+                     re.ASCII | re.IGNORECASE)
 # Rows formatted per write by _write_table.
 _CSV_BLOCK = 4096
 
@@ -140,19 +143,21 @@ def write_image(path, image, maxval=255):
         fh.write(samples.astype(dtype).tobytes())
 
 
-def _read_rows(source, path):
+def _read_rows(path, skip=0):
     """The one text-table reader: rows of finite floats, as a 2-D array.
 
-    source is a path or an open text file, read from where it stands to
-    its end; blank lines and '#' comments are skipped. Errors name path.
+    The table starts after the first skip lines of the file at path;
+    blank lines and '#' comments are skipped. Errors name path, and a
+    row that does not parse by its line in the file.
     """
     try:
         with warnings.catch_warnings():
             # numpy warns on a file without data; the size check below rejects it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(source, dtype=float, ndmin=2)
+            values = np.loadtxt(path, dtype=float, ndmin=2, skiprows=skip)
     except ValueError as exc:
-        raise FormatError(f"invalid matrix file {path}: {exc}") from exc
+        fault = next(_row_faults(path, skip), exc)
+        raise FormatError(f"invalid matrix file {path}: {fault}") from exc
     if values.size == 0:
         raise FormatError(f"empty matrix file {path}")
     if not np.isfinite(values).all():
@@ -160,9 +165,27 @@ def _read_rows(source, path):
     return values
 
 
+def _row_faults(path, skip):
+    """Each fault loadtxt refuses in the table at path, by its file line.
+
+    A fault is a non-number, or a row whose count of values differs from
+    the first row's. The file is rescanned only after loadtxt failed, so
+    a valid table is parsed once and keeps loadtxt's bits.
+    """
+    lines = Path(path).read_text(encoding="utf-8", errors="replace").split("\n")
+    width = 0
+    for number, line in enumerate(lines[skip:], start=skip + 1):
+        tokens = line.split("#", 1)[0].split()
+        bad = [token for token in tokens if not _NUMBER.fullmatch(token)]
+        yield from (f"line {number}: {token!r} is not a number" for token in bad)
+        width = width or len(tokens)
+        if tokens and len(tokens) != width:
+            yield f"line {number} has {len(tokens)} values, expected {width}"
+
+
 def read_matrix(path):
     """Read a whitespace separated text matrix of finite floats."""
-    return _read_rows(path, path)
+    return _read_rows(path)
 
 
 def write_matrix(path, values):

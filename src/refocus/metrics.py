@@ -169,8 +169,8 @@ def picard_data(g, op):
     Parameters
     ----------
     g : ndarray
-        Observed image, either (n1, n2) or (3, n1, n2); for color
-        images the coefficient magnitude is the norm over channels.
+        Observed image, either (n1, n2) or (3, n1, n2); the coefficient
+        magnitude is the norm over channels, for gray the absolute value.
         Checked at entry like filter data: a wrong shape raises
         SizeMismatchError, NaN or inf raises InvalidParameterError.
     op : BlurOperator
@@ -188,12 +188,9 @@ def picard_data(g, op):
 
 def _picard_data(g, plan):
     """picard_data in an eigenbasis plan already built for the operator."""
-    g = _check_data(g, plan.op, np.ndim(g) == 3)
-    ghat = plan.analysis(g)
-    if g.ndim == 3:
-        coef = np.sqrt((ghat**2).sum(axis=0)).ravel()
-    else:
-        coef = np.abs(ghat).ravel()
+    # the data as observed: gray or three color channels, no mixing step
+    ghat = plan.analysis(_check_data(g, plan.op, [1, 3]))
+    coef = np.sqrt((ghat**2).sum(axis=0)).ravel()
     return np.abs(plan.lam).ravel()[plan.order], coef[plan.order]
 
 

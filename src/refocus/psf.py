@@ -287,15 +287,15 @@ def load_mask(path):
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: mask header must be 'q1 q2'")
-        try:
-            q1, q2 = int(header[0]), int(header[1])
-        except ValueError:
-            raise FormatError(f"{path}: mask header must hold two integers")
-        if q1 < 0 or q2 < 0:
-            raise FormatError(f"{path}: half supports must be nonnegative")
-        w = _read_rows(fh, path)
+    if len(header) != 2:
+        raise FormatError(f"{path}: mask header must be 'q1 q2'")
+    try:
+        q1, q2 = int(header[0]), int(header[1])
+    except ValueError:
+        raise FormatError(f"{path}: mask header must hold two integers")
+    if q1 < 0 or q2 < 0:
+        raise FormatError(f"{path}: half supports must be nonnegative")
+    w = _read_rows(path, skip=1)
     shape = (2 * q1 + 1, 2 * q2 + 1)
     if w.shape != shape:
         raise FormatError(f"{path}: mask body must have shape {shape}, got {w.shape}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import refocus as r
-from refocus.filtering import sweep
+from refocus.filtering import restore, sweep
 from refocus.operators import BoundaryCondition as BC
 
 from conftest import rough_image
@@ -84,6 +84,57 @@ def test_color_matches_per_channel_under_identity_mixing(gauss11):
             ) / np.linalg.norm(f)
             assert np.array_equal(curve.params, parts[0].params)
             assert np.abs(curve.rres - combined).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bc", list(BC))
+def test_gray_cross_channel_blur_is_apply_blur(gauss11, bc):
+    op = r.BlurOperator(gauss11, bc, (7, 6))
+    g = rough_image((7, 6))
+    out = r.cross_channel_blur(g, None, op)
+    assert out.shape == g.shape
+    assert out.tobytes() == r.apply_blur(op, g).tobytes()
+
+
+@pytest.mark.parametrize("bc", [BC.REFLECTIVE, BC.ANTIREFLECTIVE])
+def test_identity_mixing_restores_exactly_per_channel(gauss11, bc):
+    # the identity mix is skipped, so each channel runs the gray arithmetic
+    ident = r.identity_mixing()
+    op = r.BlurOperator(gauss11, bc, (6, 5))
+    f = _color_image((6, 5))
+    g, _ = r.add_noise(r.cross_channel_blur(f, ident, op), r.NoiseSpec(0.01, 3))
+    for method, spec in (("tsd", r.TruncateByCount(12)), ("tsd", r.TruncateByThreshold(0.2)),
+                         ("tsvd", r.TruncateByCount(12)), ("tikhonov", r.Tikhonov(1e-3))):
+        color = restore(g, op, method, spec, ident)
+        for c in range(3):
+            gray = restore(g[c], op, method, spec)
+            assert gray.image.shape == (6, 5)
+            assert np.array_equal(color.image[c], gray.image), (method, spec, c)
+
+
+def test_gray_data_makes_no_channel_mix(gauss11, mix_matrix, monkeypatch):
+    # gray data is mixed by [1], which the identity rule skips
+    calls = []
+    real = np.tensordot
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", counted)
+    for bc in (BC.REFLECTIVE, BC.ANTIREFLECTIVE):
+        op = r.BlurOperator(gauss11, bc, (6, 5))
+        f = rough_image((6, 5))
+        g = r.cross_channel_blur(f, None, op)
+        for method, spec in (("tsd", r.TruncateByCount(12)), ("tsvd", r.TruncateByCount(12)),
+                             ("tikhonov", r.Tikhonov(1e-3))):
+            restore(g, op, method, spec)
+            sweep(g, op, method, f)
+    assert calls == []
+    # the counter sees a color restore's unmixing
+    g = r.cross_channel_blur(_color_image((6, 5)), mix_matrix, op)
+    calls.clear()
+    restore(g, op, "tsd", r.TruncateByCount(12), mix_matrix)
+    assert calls == [1]
 
 
 def test_color_mu_sweep_matches_pointwise_restorations(gauss11, mix_matrix):

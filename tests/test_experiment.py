@@ -144,6 +144,21 @@ def test_gray_scene_with_mix_rejected(tmp_path):
         r.run_experiment(config)
 
 
+@pytest.mark.parametrize("methods, code", [("tikhonov,tsd", 2), ("tikhonov", 0)])
+def test_singular_mix_fails_truncation_before_output(tmp_path, capsys, methods, code):
+    # truncation unmixes by M^-1; Tikhonov damps M^T M and takes a singular mix
+    out = tmp_path / "x"
+    sets = ["scene=sinusoids:16x16", "psf=gaussian:1:0.8", f"method={methods}",
+            "bc=reflective", "rho=0.01", "mix=0.5,0.5,0,0.5,0.5,0,0,0,1"]
+    assert main(["experiment", "--out", str(out)]
+                + [arg for item in sets for arg in ("--set", item)]) == code
+    if code:
+        assert "mixing matrix is singular" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert (out / "summary.csv").is_file()
+
+
 @pytest.mark.parametrize("settings, error", [
     (["method=tsvd", "psf=disk:3:2.5"], r.NotSeparableError),
     # a 5^2 field of view: the operator takes the mask, the spectral support rule not
@@ -300,6 +315,20 @@ def test_cli_tikhonov_sweep_takes_the_mu_flags(tmp_path, capsys):
         ]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--mu-count", "0"), ("--mu-lo", "0")])
+def test_cli_truncation_sweep_checks_the_mu_flags(tmp_path, capsys, flag, value):
+    truth = tmp_path / "truth.txt"
+    curve = tmp_path / "curve.csv"
+    r.write_matrix(truth, r.low_frequency_scene((8, 8)))
+    assert main([
+        "sweep", "--image", str(truth), "--reference", str(truth),
+        "--psf", "gaussian:1:0.9", "--bc", "reflective",
+        "--method", "tsd", "--out", str(curve), flag, value,
+    ]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not curve.exists()
 
 
 def test_cli_sweep_rejects_bad_max_terms(tmp_path, capsys):

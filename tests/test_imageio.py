@@ -168,6 +168,24 @@ def test_matrix_errors(tmp_path):
         r.write_matrix(path, np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("1 2\n3 x\n", "line 2: 'x' is not a number"),
+    ("# c\n\n1 2 3\n4 5\n", "line 4 has 2 values, expected 3"),
+    ("1 2\n3 4 # c\n\n5 6 7\n", "line 4 has 3 values, expected 2"),
+    # float() takes digit separators, loadtxt does not
+    ("1 2\n1_0 3\n", "line 2: '1_0' is not a number"),
+    # a dotless i is not the ASCII i of inf
+    ("1 2\n\u0131nf 3\n", "line 2: '\u0131nf' is not a number"),
+], ids=["non-number", "short-row-after-comment", "long-row-after-blank", "digit-separator",
+        "non-ascii-inf"])
+def test_read_matrix_names_the_file_line_at_fault(tmp_path, text, fragment):
+    path = tmp_path / "mat.txt"
+    path.write_text(text)
+    with pytest.raises(r.FormatError, match=fragment) as info:
+        r.read_matrix(path)
+    assert "at row" not in str(info.value) and "usecols" not in str(info.value)
+
+
 @pytest.mark.parametrize("text", ["", "# a comment only\n\n"], ids=["empty", "comment-only"])
 def test_read_matrix_rejects_empty_files_without_a_warning(tmp_path, text):
     path = tmp_path / "empty.txt"

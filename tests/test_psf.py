@@ -153,10 +153,10 @@ def test_load_mask_normalizes(tmp_path):
     ("not a header\n", "header must be 'q1 q2'"),
     ("1 x\n0 1 0\n", "header must hold two integers"),
     ("-1 1\n", "half supports must be nonnegative"),
-    ("1 1\n0 2 0\n2 8\n0 2 0\n", "number of columns changed"),
-    ("1 1\n0 2 0\n2 x 2\n0 2 0\n", "could not convert string 'x'"),
+    ("1 1\n0 2 0\n2 8\n0 2 0\n", "line 3 has 2 values, expected 3"),
+    ("1 1\n0 2 0\n2 x 2\n0 2 0\n", "line 3: 'x' is not a number"),
     ("1 1\n0 2 0\n2 8 2\n0 2 0\n0 1 0\n", r"must have shape \(3, 3\), got \(4, 3\)"),
-    ("1 1\n0 2 0\n2 8 2\n0 2 0\nnot a row\n", "could not convert string 'not'"),
+    ("1 1\n0 2 0\n2 8 2\n0 2 0\nnot a row\n", "line 5: 'not' is not a number"),
     ("1 1\n0 2 0\n2 nan 2\n0 2 0\n", "NaN or inf"),
     ("1 1\n0 2 0\n2 inf 2\n0 2 0\n", "NaN or inf"),
 ], ids=["header-not-a-pair", "header-not-integers", "negative-half-support", "short-row",

@@ -12,7 +12,8 @@ refocus.cli.main in a temporary directory:
   interior takes the chirp-convolution path;
 * a mask file written by save_mask and read back through --psf
   file:<path>, in a blur and a restore under both spectral rules;
-* a disk blur, and a color restore without --mix;
+* a disk blur, and a color restore, a tsd sweep and a Tikhonov sweep
+  without --mix;
 * a gray and a color experiment over both spectral rules, every method
   and two noise levels.
 
@@ -101,9 +102,12 @@ def _requests(inputs):
                          "--method", "tsd", "--count", "200"] + common)
     requests.append(["blur", "--image", "gray.txt", "--out", "blur_disk.pgm", "--psf",
                      "disk:2:1.5", "--bc", "reflective", "--maxval", "65535"])
-    requests.append(["restore", "--image", "blur_color_reflective.ppm", "--out",
-                     "restore_color_nomix.ppm", "--method", "tikhonov", "--mu", "1e-3",
-                     "--psf", PSF, "--bc", "reflective"])
+    nomix = ["--image", "blur_color_reflective.ppm", "--psf", PSF, "--bc", "reflective"]
+    requests.append(["restore", "--out", "restore_color_nomix.ppm", "--method", "tikhonov",
+                     "--mu", "1e-3"] + nomix)
+    for method in ("tsd", "tikhonov"):
+        requests.append(["sweep", "--out", f"sweep_color_nomix_{method}.csv", "--method",
+                         method, "--reference", "color.ppm"] + SWEEPS[method] + nomix)
     for name, extra in (("gray", []), ("color", ["--set", f"mix={MIX}"])):
         sets = ["scene=sinusoids:40x36", f"psf={PSF}", "bc=reflective,antireflective",
                 "method=tsd,tsvd,tikhonov", "rho=0.01,0.05", "seed=2", "mu_count=10"]
