@@ -1,9 +1,12 @@
 """Command line front end.
 
-Verbs: blur an image, restore a blurred image with one filter setting,
-sweep a filter parameter against a reference, and run a full
-experiment from a config file. Exit codes: 0 on success, 2 for
-configuration or file format problems, 3 for numeric failures.
+Verbs: blur an image, restore a blurred image with one filter setting
+(exactly one of --count, --threshold and --mu, which argparse
+enforces), sweep a filter parameter against a reference, and run a
+full experiment from a config file. Each verb only dispatches to the
+library. main returns the exit code and never raises SystemExit: 0 on
+success, 2 for usage errors and configuration or file format problems,
+3 for numeric failures.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import sys
 import numpy as np
 
 from .color import cross_channel_blur
-from .errors import ConfigError
 from .experiment import (
-    format_optimum,
     load_config,
     parse_mix_spec,
     parse_psf_spec,
@@ -29,6 +30,7 @@ from .filtering import (
     Tikhonov,
     TruncateByCount,
     TruncateByThreshold,
+    format_optimum,
     log_mu_grid,
     restore,
     save_curve_csv,
@@ -62,26 +64,12 @@ def _cmd_blur(args):
     return 0
 
 
-def _filter_spec(args):
-    """The one filter setting given; restore rejects a method mismatch."""
-    given = [
-        (spec_type, value)
-        for spec_type, value in (
-            (TruncateByCount, args.count),
-            (TruncateByThreshold, args.threshold),
-            (Tikhonov, args.mu),
-        )
-        if value is not None
-    ]
-    if len(given) != 1:
-        raise ConfigError("set exactly one of --count, --threshold, --mu")
-    spec_type, value = given[0]
-    return spec_type(value)
-
-
 def _cmd_restore(args):
     image, op, mixing = _prepare(args)
-    result = restore(image, op, args.method, _filter_spec(args), mixing)
+    # argparse lets exactly one setting through; restore rejects a method mismatch
+    given = {TruncateByCount: args.count, TruncateByThreshold: args.threshold, Tikhonov: args.mu}
+    spec = next(spec_type(value) for spec_type, value in given.items() if value is not None)
+    result = restore(image, op, args.method, spec, mixing)
     write_by_suffix(args.out, result.image, args.maxval)
     print(
         f"wrote {args.out} method={result.method} parameter={result.parameter:g} "
@@ -143,12 +131,12 @@ def _build_parser():
 
     restore = sub.add_parser("restore", help="restore with one filter setting")
     _add_common(restore, with_method=True)
-    restore.add_argument("--count", type=int, default=None,
+    setting = restore.add_mutually_exclusive_group(required=True)
+    setting.add_argument("--count", type=int,
                          help="keep the k spectrally largest coefficients")
-    restore.add_argument("--threshold", type=float, default=None,
+    setting.add_argument("--threshold", type=float,
                          help="keep coefficients with spectral magnitude >= delta")
-    restore.add_argument("--mu", type=float, default=None,
-                         help="Tikhonov regularization weight")
+    setting.add_argument("--mu", type=float, help="Tikhonov regularization weight")
     restore.add_argument("--maxval", type=int, default=255, choices=_MAXVALS)
     restore.set_defaults(func=_cmd_restore)
 
@@ -173,7 +161,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on --help and on a usage error
+        return exc.code
     try:
         return args.func(args)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -7,6 +7,11 @@ and filter, and writes restored images, error curves, Picard data and
 a summary table under one output directory. Every artifact is written
 deterministically: rerunning the same config reproduces identical
 bytes.
+
+This module parses configs, builds the data and writes the files; the
+filter core decides everything about the methods. Its _run_plans
+builds the plans of a run, and _sweep_restore sweeps each case and
+restores it at the optimum.
 """
 
 from __future__ import annotations
@@ -20,21 +25,17 @@ import numpy as np
 from .color import ColorMixing, identity_mixing
 from .errors import ConfigError, SizeMismatchError, _check_int, _check_real
 from .filtering import (
-    _BASIS,
     DEFAULT_MU_RANGE,
     METHODS,
-    Tikhonov,
-    TruncateByCount,
     _check_max_terms,
     _mix,
-    _Plan,
-    _restore,
-    _sweep,
-    _unmixing,
+    _run_plans,
+    _sweep_restore,
+    format_optimum,
     log_mu_grid,
     save_curve_csv,
 )
-from .imageio import _check_maxval, read_by_suffix, write_image
+from .imageio import _check_maxval, _utf8_text, read_by_suffix, write_image
 from .metrics import NoiseSpec, _picard_data, add_noise, save_picard_csv
 from .operators import (
     _SYMMETRIC_RULES, BlurOperator, BoundaryCondition, _check_shape, blur_oversized_scene,
@@ -217,11 +218,11 @@ def _key_value(text, where):
 def read_config_file(path):
     """Parse a flat key=value config file into a dict of strings.
 
-    Blank lines and '#' comments are ignored; keys may not repeat.
+    The file is UTF-8 text. Blank lines and '#' comments are ignored;
+    keys may not repeat.
     """
     raw = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_utf8_text(path, ConfigError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -297,13 +298,6 @@ def resolve_mixing(data, mix):
     return identity_mixing() if data.ndim == 3 and mix is None else mix
 
 
-def format_optimum(curve):
-    """A sweep optimum as text: '%.6e' for a mu, an int for a count."""
-    if curve.method == "tikhonov":
-        return f"{curve.best_param:.6e}"
-    return str(int(curve.best_param))
-
-
 def _resolve_scene(config):
     spec = config.scene
     if not spec.startswith("sinusoids:"):
@@ -314,19 +308,6 @@ def _resolve_scene(config):
     shape = tuple(_int(p, "scene dimension") for p in parts)
     scene = low_frequency_scene if config.mix is None else low_frequency_scene_color
     return scene(shape)
-
-
-def _run_case(g, plan, mixing, method, f_true, config):
-    """Sweep one (data, operator, method) case, restore at the optimum.
-
-    plan is the operator's plan for the basis of method.
-    """
-    curve = _sweep(g, plan, method, f_true, mixing, config.max_terms, config.mu_grid())
-    if method == "tikhonov":
-        best = Tikhonov(float(curve.best_param))
-    else:
-        best = TruncateByCount(curve.best_param)
-    return curve, _restore(g, plan, method, best, mixing)
 
 
 def run_experiment(config):
@@ -354,15 +335,10 @@ def run_experiment(config):
     except SizeMismatchError as exc:
         raise ConfigError(f"scene too small for the psf margins: {exc}") from None
     shape = f_true.shape[-2:]
+    # before any work, so a mask or mix the run cannot use fails before
+    # anything is written
     ops = {bc: BlurOperator(mask, bc, shape) for bc in config.bcs}
-    # every basis is built once, before any work, so a mask that a rule's
-    # spectrum or tsvd cannot use fails before anything is written; the
-    # Picard data always needs the eigenbasis
-    bases = dict.fromkeys(["eigen"] + [_BASIS[method] for method in config.methods])
-    plans = {(bc, basis): _Plan(ops[bc], basis) for basis in bases for bc in config.bcs}
-    # likewise a mix that truncation cannot unmix
-    if config.mix is not None and set(config.methods) != {"tikhonov"}:
-        _unmixing(config.mix.matrix)
+    plans = _run_plans(ops, config.methods, config.mix)
 
     g_clean = blur_oversized_scene(scene, mask)
     if color:
@@ -374,11 +350,13 @@ def run_experiment(config):
     for rho in config.rhos:
         noisy, _snr = add_noise(g_clean, NoiseSpec(rho, config.seed))
         for bc in config.bcs:
-            magnitudes, coefs = _picard_data(noisy, plans[bc, "eigen"])
+            eigen, by_method = plans[bc]
+            magnitudes, coefs = _picard_data(noisy, eigen)
             picard = None  # formatted once per (rule, rho), then copied
-            for method in config.methods:
-                plan = plans[bc, _BASIS[method]]
-                curve, restored = _run_case(noisy, plan, mixing, method, f_true, config)
+            for method, plan in by_method.items():
+                curve, restored = _sweep_restore(
+                    noisy, plan, method, f_true, mixing, config.max_terms, config.mu_grid()
+                )
                 dirname, key = _case_names(bc, method, rho)
                 subdir = out / dirname
                 subdir.mkdir(parents=True, exist_ok=True)

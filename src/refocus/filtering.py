@@ -31,8 +31,13 @@ eigenbasis, shared by tsd and tikhonov, or the singular bases of the
 separable factors, for tsvd. A plan holds the spectrum and the basis
 maps; it sorts the spectrum and builds the Gram border vectors only
 when a filter first needs them. `restore` and `sweep` build a plan per
-call; an experiment builds each operator's plans once and passes them
-to every sweep, restore and Picard plot of the run.
+call. A run of many cases builds every plan it needs at once, before
+any work (_run_plans), and shares them between its Picard data, sweeps
+and restores; _sweep_restore sweeps one case and restores it at the
+curve's optimum. So each method rule (the basis a method filters in,
+the spec a sweep optimum becomes, the methods that must unmix a mix)
+is written here once, and the experiment runner and the CLI only
+dispatch to this core.
 
 Sweeps never synthesize an image. The error of a restoration is the
 norm of its coefficient difference from the reference's coefficients,
@@ -162,6 +167,13 @@ class SweepCurve:
     @property
     def best_rre(self):
         return float(self.rres[self.best_index])
+
+
+def format_optimum(curve):
+    """A sweep optimum as text: '%.6e' for a mu, an int for a count."""
+    if curve.method == "tikhonov":
+        return f"{curve.best_param:.6e}"
+    return str(int(curve.best_param))
 
 
 def _check_data(x, op, channels, what="data"):
@@ -335,6 +347,22 @@ def _plan(op, method):
     if method not in _BASIS:
         raise InvalidParameterError(f"unknown method {method!r}, expected {METHODS}")
     return _Plan(op, _BASIS[method])
+
+
+def _run_plans(ops, methods, mix):
+    """Every plan a run needs, built before any work and shared by all of it.
+
+    ops maps a key to an operator. Returns {key: (eigen, by_method)}: the
+    operator's eigenbasis plan, which its Picard data uses, and the plan
+    each method filters in, one per basis. A mask that a basis cannot use
+    raises here, and so does a mix (a ColorMixing, or None) that a
+    truncation method in methods cannot unmix.
+    """
+    bases = dict.fromkeys(["eigen"] + [_BASIS[method] for method in methods])
+    plans = {(key, basis): _Plan(op, basis) for basis in bases for key, op in ops.items()}
+    if mix is not None and set(methods) != {"tikhonov"}:
+        _unmixing(mix.matrix)
+    return {key: (plans[key, "eigen"], {m: plans[key, _BASIS[m]] for m in methods}) for key in ops}
 
 
 def restore(g, op, method, spec, mixing=None):
@@ -568,6 +596,14 @@ def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
         params = np.arange(1, err_sq.size + 1)
     rres = np.sqrt(np.maximum(err_sq, 0.0)) / true_norm
     return SweepCurve(params=params, rres=rres, method=method)
+
+
+def _sweep_restore(g, plan, method, f_true, mixing, max_terms, mu_grid):
+    """_sweep, then _restore at the curve's optimum: (curve, RestorationResult)."""
+    curve = _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid)
+    best = curve.best_param
+    spec = Tikhonov(float(best)) if method == "tikhonov" else TruncateByCount(best)
+    return curve, _restore(g, plan, method, spec, mixing)
 
 
 def rre_sweep(g, op, f_true, max_terms=None):

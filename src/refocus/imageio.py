@@ -8,7 +8,9 @@ same maxval reproduces the file byte for byte.
 
 Every text table is read by _read_rows (a .txt matrix, and the body of
 a mask file under its header) and written by _write_table ('%.17g'
-values: .txt matrices, mask files and the CSV outputs). A path's suffix
+values: .txt matrices, mask files and the CSV outputs). Every text file
+read (tables, mask headers, experiment configs) is UTF-8, and
+_utf8_text names the line of a byte that is not. A path's suffix
 picks between image and matrix in one place, _is_image.
 """
 
@@ -143,6 +145,19 @@ def write_image(path, image, maxval=255):
         fh.write(samples.astype(dtype).tobytes())
 
 
+def _utf8_text(path, error=FormatError):
+    """The text of the file at path, decoded by the one text rule: UTF-8.
+
+    A byte that is not UTF-8 raises error naming path and the byte's line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+
+
 def _read_rows(path, skip=0):
     """The one text-table reader: rows of finite floats, as a 2-D array.
 
@@ -154,7 +169,7 @@ def _read_rows(path, skip=0):
         with warnings.catch_warnings():
             # numpy warns on a file without data; the size check below rejects it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(path, dtype=float, ndmin=2, skiprows=skip)
+            values = np.loadtxt(path, dtype=float, ndmin=2, skiprows=skip, encoding="utf-8")
     except ValueError as exc:
         fault = next(_row_faults(path, skip), exc)
         raise FormatError(f"invalid matrix file {path}: {fault}") from exc
@@ -169,10 +184,11 @@ def _row_faults(path, skip):
     """Each fault loadtxt refuses in the table at path, by its file line.
 
     A fault is a non-number, or a row whose count of values differs from
-    the first row's. The file is rescanned only after loadtxt failed, so
-    a valid table is parsed once and keeps loadtxt's bits.
+    the first row's; a byte that is not UTF-8 raises FormatError naming
+    its line. The file is rescanned only after loadtxt failed, so a valid
+    table is parsed once and keeps loadtxt's bits.
     """
-    lines = Path(path).read_text(encoding="utf-8", errors="replace").split("\n")
+    lines = _utf8_text(path).split("\n")
     width = 0
     for number, line in enumerate(lines[skip:], start=skip + 1):
         tokens = line.split("#", 1)[0].split()

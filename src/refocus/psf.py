@@ -9,6 +9,7 @@ routines additionally need strong symmetry, meaning the weight at
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     _check_int,
     _check_real,
 )
-from .imageio import _read_rows, _write_table
+from .imageio import _read_rows, _utf8_text, _write_table
 
 
 @dataclass(frozen=True)
@@ -274,9 +275,9 @@ def save_mask(mask, path):
 def load_mask(path):
     """Read a mask written by save_mask, normalizing the weights.
 
-    The file is a 'q1 q2' header line, then a text matrix body (as
-    read_matrix reads) of exactly 2*q1+1 rows of 2*q2+1 finite values;
-    anything else raises FormatError.
+    The file is UTF-8 text: a 'q1 q2' header line, then a text matrix
+    body (as read_matrix reads) of exactly 2*q1+1 rows of 2*q2+1 finite
+    values; anything else raises FormatError.
 
     Returns
     -------
@@ -285,8 +286,7 @@ def load_mask(path):
         Sum of the weights before normalization, so callers can report
         how far the file was from unit mass.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
+    header = io.StringIO(_utf8_text(path), newline=None).readline().split()
     if len(header) != 2:
         raise FormatError(f"{path}: mask header must be 'q1 q2'")
     try:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import refocus as r
+from refocus import filtering
 from refocus.cli import main
 from refocus.filtering import log_mu_grid
 from refocus.operators import BoundaryCondition as BC
@@ -186,6 +187,20 @@ def test_run_experiment_builds_each_basis_once(tmp_path, monkeypatch):
     assert calls["eigen_grid_for"] == operators
     assert calls["assemble_dense_1d"] == 2 * operators  # one per axis of each svd plan
     assert calls["sort_spectrum"] <= 2 * operators  # one per basis
+
+
+def test_run_experiment_shares_one_plan_per_rule_and_basis(tmp_path, monkeypatch):
+    built = []
+    init = filtering._Plan.__init__
+    monkeypatch.setattr(filtering._Plan, "__init__",
+                        lambda plan, op, basis: built.append(basis) or init(plan, op, basis))
+    config = r.load_config(None, [
+        "scene=sinusoids:14x14", "psf=gaussian:1:0.8", "bc=reflective,antireflective",
+        "method=tsd,tsvd,tikhonov", "rho=0.001,0.01", f"out={tmp_path / 'x'}",
+    ])
+    r.run_experiment(config)
+    # the Picard data, tsd and tikhonov share the eigen plan of each rule
+    assert sorted(built) == ["eigen", "eigen", "svd", "svd"]
 
 
 def test_run_experiment_gray(tmp_path):
@@ -432,6 +447,40 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
     assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize("image", ["truth.txt", "missing.txt"])
+@pytest.mark.parametrize("settings", [
+    ["--count", "3", "--mu", "0.1"], ["--threshold", "0.1", "--count", "3"], [],
+], ids=["count-and-mu", "threshold-and-count", "none"])
+def test_cli_restore_takes_exactly_one_setting(tmp_path, capsys, settings, image):
+    r.write_matrix(tmp_path / "truth.txt", r.low_frequency_scene((8, 8)))
+    out = tmp_path / "o.txt"
+    code = main(["restore", "--image", str(tmp_path / image), "--psf", "identity",
+                 "--bc", "reflective", "--method", "tsd", "--out", str(out)] + settings)
+    err = capsys.readouterr().err
+    assert code == 2
+    # argparse names the flags before any file is read
+    flags = [arg for arg in settings if arg.startswith("--")] or ["--count", "--threshold", "--mu"]
+    assert all(flag in err for flag in flags) and "missing.txt" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["restore"]], ids=["no-verb", "restore-bare"])
+def test_cli_usage_errors_return_2(capsys, argv):
+    assert main(argv) == 2
+    assert "usage: refocus" in capsys.readouterr().err
+
+
+def test_config_file_must_be_utf8(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"scene = sinusoids:8x8\npsf = identity # caf\xe9\n")
+    with pytest.raises(r.ConfigError, match="exp.cfg:2: byte 0xe9 is not UTF-8"):
+        r.load_config(cfg)
+    out = tmp_path / "x"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "exp.cfg:2: byte 0xe9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_experiment(tmp_path):

@@ -186,6 +186,15 @@ def test_read_matrix_names_the_file_line_at_fault(tmp_path, text, fragment):
     assert "at row" not in str(info.value) and "usecols" not in str(info.value)
 
 
+def test_read_matrix_reads_utf8_and_names_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "mat.txt"
+    path.write_bytes("1 2\n# caf\u00e9\n3 4\n".encode("utf-8"))
+    assert r.read_matrix(path).tolist() == [[1, 2], [3, 4]]
+    path.write_bytes(b"1 2\n# caf\xe9\n3 4\n")
+    with pytest.raises(r.FormatError, match="mat.txt:2: byte 0xe9 is not UTF-8"):
+        r.read_matrix(path)
+
+
 @pytest.mark.parametrize("text", ["", "# a comment only\n\n"], ids=["empty", "comment-only"])
 def test_read_matrix_rejects_empty_files_without_a_warning(tmp_path, text):
     path = tmp_path / "empty.txt"

@@ -179,6 +179,16 @@ def test_load_mask_skips_blank_lines_and_comments(tmp_path):
     assert a.weights.tobytes() == b.weights.tobytes() and a_sum == b_sum
 
 
+def test_load_mask_reads_utf8_and_names_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "mask.txt"
+    path.write_bytes("1 1\n# caf\u00e9\n0 2 0\n2 8 2\n0 2 0\n".encode("utf-8"))
+    assert r.load_mask(path)[1] == 16.0
+    for data, line in ((b"1 1\n0 1 0\n1 \xff 1\n0 1 0\n", 3), (b"1 \xff\n", 1)):
+        path.write_bytes(data)
+        with pytest.raises(r.FormatError, match=f"mask.txt:{line}: byte 0xff is not UTF-8"):
+            r.load_mask(path)
+
+
 def _mask_text_per_value(mask):
     """The per-value mask writer the shared table writer replaced."""
     q1, q2 = mask.half_support

@@ -7,7 +7,9 @@ refocus.cli.main in a temporary directory:
 
 * blurs under all four boundary rules, gray and color;
 * restores and sweeps under both spectral rules, gray and color, with
-  every method;
+  every method, and a restore of every (method, setting flag) pair the
+  restore verb accepts: tsd and tsvd by --count and by --threshold,
+  tikhonov by --mu;
 * one anti-reflective side above 514, so the sine transform of its
   interior takes the chirp-convolution path;
 * a mask file written by save_mask and read back through --psf
@@ -94,6 +96,10 @@ def _requests(inputs):
         requests.append(["restore", "--image", f"blur_{name}_antireflective{suffix}",
                          "--out", f"threshold_{name}{suffix}", "--method", "tsd",
                          "--threshold", "0.05", "--psf", PSF, "--bc", "antireflective"] + mix)
+        if name != "long":
+            requests.append(["restore", "--image", f"blur_{name}_reflective{suffix}",
+                             "--out", f"threshold_tsvd_{name}{suffix}", "--method", "tsvd",
+                             "--threshold", "0.05", "--psf", PSF, "--bc", "reflective"] + mix)
     for bc in SPECTRAL:
         common = ["--psf", f"file:{MASK_FILE}", "--bc", bc]
         blurred = f"blur_file_{bc}.txt"
