@@ -199,17 +199,23 @@ def _channel_stack(x, op, mixing, what="data"):
     return _check_data(x, op, [len(matrix)], what), matrix
 
 
-def _mix(matrix, channels):
-    """Mix the channels on the leading axis pixelwise by a C x C matrix.
+def _mixer(matrix):
+    """The function mixing the channels on the leading axis by a C x C matrix.
 
-    Mixing by the identity returns channels itself, so no caller may
-    write to the result in place. The test compares Python lists, which
-    is cheaper than an array comparison for a matrix this small, and a
-    Tikhonov sweep makes it once per mu.
+    The mix is pixelwise. Mixing by the identity returns its argument
+    itself, so no caller may write to the result in place. The matrix is
+    tested once, here: a Tikhonov sweep makes its mixer once and mixes
+    once per mu. The test compares Python lists, which is cheaper than
+    an array comparison for a matrix this small.
     """
     if matrix.tolist() == np.eye(len(matrix)).tolist():
-        return channels
-    return np.tensordot(matrix, channels, axes=([1], [0]))
+        return lambda channels: channels
+    return lambda channels: np.tensordot(matrix, channels, axes=([1], [0]))
+
+
+def _mix(matrix, channels):
+    """Mix channels once by a C x C matrix; see _mixer."""
+    return _mixer(matrix)(channels)
 
 
 def _unmixing(matrix):
@@ -233,11 +239,12 @@ def _tikhonov(coef, lam, matrix):
     # first, so the lam * lam temporary is freed before rhs is allocated
     lam_sq = np.multiply.outer(d, lam * lam)
     rhs = lam * _mix(rotation.T @ matrix.T, coef)
+    rotate = _mixer(rotation)
 
     def damped(mu):
         fhat = lam_sq + mu
         np.divide(rhs, fhat, out=fhat)
-        return _mix(rotation, fhat)
+        return rotate(fhat)
 
     return damped
 

@@ -18,25 +18,46 @@ Every public transform goes through one driver. The cosine family is
 the library DCT along the axis. The sine-family kinds walk the axis in
 blocks of lines: each block is gathered into a contiguous buffer,
 transformed there in place and written into the result. A call
-allocates its result and one block's buffers, never an image-sized
-copy, and a two-level transform runs its second pass in place on the
-first pass's result.
+allocates its result and one block's buffers per thread, never an
+image-sized copy, and a two-level transform runs its second pass in
+place on the first pass's result.
+
+Threads. Where the sine part of a line is longer than the direct limit,
+so it takes the chirp-convolution path, W threads take the blocks one
+at a time until none is left. W is scipy.fft.get_workers(), at most
+half the number of blocks, so each thread gets two or more; the cosine
+kind passes the same W to the library DCT. Every block is transformed
+as it would be alone, so the result has the same bytes at any W. The
+calling thread builds the plans and allocates every thread's buffers
+before the threads start, so the large buffers come from its heap, not
+from per-thread allocator arenas. The library calls inside a block run
+with one worker, so a caller's worker setting never multiplies the
+threads. Library calls stay on one thread, scipy's default; the command
+line runs each verb with one worker per CPU the process may run on.
+
+On a 2-core Xeon VM (medians of 21 calls), two threads take a two-level
+anti-reflective transform at 1024^2 from 161 to 91 ms and the cosine
+one from 31 to 18 ms. Below the limit threads do not pay: at 256^2 two
+threads made the anti-reflective pair 1.8x slower (4.1 to 7.5 ms).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.fft import dct, dst, fft, ifft, next_fast_len
+from scipy.fft import dct, dst, fft, get_workers, ifft, next_fast_len
 
 from .errors import InvalidParameterError, SizeGuardError, SizeMismatchError, _check_int
 
 # Above this length the type-I sine transform switches to the Bluestein
-# path; below it the direct library call is faster.
+# path; below it the direct library call is faster. Only passes over
+# lines longer than this run on threads (see the module docstring).
 _SINE_DIRECT_LIMIT = 512
 # Lines per block of the sine-family driver. A call allocates one block's
 # buffers once and reuses them: two real (64, m) arrays and, above the
@@ -132,7 +153,7 @@ class _SinePlan:
         kern[: 2 * length - 1] = np.exp(
             -1j * np.pi * ((t * t) % (4 * denom)) / (2 * denom)
         )
-        self.kernel_f = fft(np.roll(kern, -(length - 1)))
+        self.kernel_f = fft(np.roll(kern, -(length - 1)), workers=1)
 
     def rows(self, rows, scratch):
         """Transform each row of an (n, length) block in place.
@@ -143,9 +164,9 @@ class _SinePlan:
         work = scratch[: len(rows)]
         np.multiply(rows, self.chirp, out=work[:, : self.length])
         work[:, self.length :] = 0.0
-        fft(work, axis=-1, overwrite_x=True)
+        fft(work, axis=-1, overwrite_x=True, workers=1)
         np.multiply(work, self.kernel_f, out=work)
-        ifft(work, axis=-1, overwrite_x=True)
+        ifft(work, axis=-1, overwrite_x=True, workers=1)
         conv = work[:, : self.length]
         np.multiply(conv, self.chirp, out=conv)
         np.multiply(conv.imag, self.scale, out=rows)
@@ -158,7 +179,7 @@ def _sine_rows(rows, tmp, scratch):
     transform writes into rows; tmp is unused.
     """
     if scratch is None:
-        dst(rows, type=1, norm="ortho", axis=-1, overwrite_x=True)
+        dst(rows, type=1, norm="ortho", axis=-1, overwrite_x=True, workers=1)
     else:
         _SinePlan(rows.shape[-1]).rows(rows, scratch)
 
@@ -198,6 +219,23 @@ _ROW_KERNELS = {
 }
 
 
+def _workers(shape, axis, length):
+    """Threads for one pass along axis of an array of this shape.
+
+    length is what the sine transform of each line covers (the whole
+    line for the cosine kind). One thread up to the direct limit; above
+    it scipy.fft.get_workers(), but at most half the _ROW_BLOCK-line
+    blocks of the pass, so each thread gets two or more.
+    """
+    if length <= _SINE_DIRECT_LIMIT:
+        return 1
+    lines = list(shape)
+    del lines[axis]
+    lines = lines or [1]
+    blocks = math.prod(lines[:-1]) * -(-lines[-1] // _ROW_BLOCK)
+    return max(1, min(get_workers(), blocks // 2))
+
+
 def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     """Apply one transform family along one axis of x.
 
@@ -205,9 +243,11 @@ def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     the library DCT. A sine-family kind walks _ROW_BLOCK lines at a time
     along axis: each block is gathered into a contiguous buffer,
     transformed there by the kind's row kernel and written into the
-    result. The buffers and the Bluestein scratch are allocated once per
-    call, so nothing image-sized is copied and no block allocates.
-    in_place overwrites x, which must then be a float64 array.
+    result. Above the direct limit _workers threads take blocks one at
+    a time until none is left (see the module docstring). Each thread's
+    buffers and Bluestein scratch are allocated once per call, here, so
+    nothing image-sized is copied and no block allocates. in_place
+    overwrites x, which must then be a float64 array.
     """
     if not isinstance(kind, TransformKind):
         raise InvalidParameterError(f"unknown transform kind {kind!r}")
@@ -218,21 +258,40 @@ def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     m = x.shape[axis]
     if m <= ramps:
         raise SizeMismatchError(f"{kind.value} transform needs length >= {ramps + 1}, got {m}")
+    workers = _workers(x.shape, axis, m - ramps)
     if kernel is None:
-        return dct(x, type=2 if transposed else 3, norm="ortho", axis=axis, overwrite_x=in_place)
+        return dct(x, type=2 if transposed else 3, norm="ortho", axis=axis,
+                   overwrite_x=in_place, workers=workers)
     out = x if in_place else np.empty(x.shape)
     src, dest = (np.atleast_2d(np.moveaxis(a, axis, -1)) for a in (x, out))
     rows = src.shape[-2]
-    lines, tmp = np.empty((2, min(rows, _ROW_BLOCK), m))
-    scratch = None
+    # deque.popleft is thread-safe, so each block goes to exactly one thread
+    todo = deque((lead, i) for lead in np.ndindex(src.shape[:-2])
+                 for i in range(0, rows, _ROW_BLOCK))
+    lines = np.empty((workers, 2, min(rows, _ROW_BLOCK), m))
+    scratch = [None]
     if m - ramps > _SINE_DIRECT_LIMIT:
-        scratch = np.empty((len(lines), _SinePlan(m - ramps).nfft), dtype=complex)
-    for lead in np.ndindex(src.shape[:-2]):
-        for i in range(0, rows, _ROW_BLOCK):
-            block = lines[: min(rows - i, _ROW_BLOCK)]
+        scratch = np.empty((workers, lines.shape[2], _SinePlan(m - ramps).nfft), dtype=complex)
+    if ramps:
+        ramp_vector(m)  # cached here, before any thread looks it up
+
+    def run(w):
+        buf, tmp = lines[w]
+        while True:
+            try:
+                lead, i = todo.popleft()
+            except IndexError:  # every block is taken
+                return
+            block = buf[: min(rows - i, _ROW_BLOCK)]
             np.copyto(block, src[lead][i : i + _ROW_BLOCK])
-            kernel(block, tmp, scratch)
+            kernel(block, tmp, scratch[w])
             dest[lead][i : i + _ROW_BLOCK] = block
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))
     return out
 
 

@@ -1,11 +1,13 @@
+import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import refocus as r
-from refocus import filtering
+from refocus import cli, filtering
 from refocus.cli import main
 from refocus.filtering import log_mu_grid
 from refocus.operators import BoundaryCondition as BC
@@ -447,6 +449,28 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
     assert not (tmp_path / "o.txt").exists()
+
+
+def test_cli_verbs_run_with_one_worker_per_cpu(tmp_path, monkeypatch):
+    # a verb sees one scipy.fft worker per CPU of the process's affinity,
+    # or of os.cpu_count where the platform has no affinity call; main
+    # hands the caller's worker count back
+    truth = tmp_path / "truth.txt"
+    r.write_matrix(truth, r.low_frequency_scene((8, 8)))
+    seen = []
+    monkeypatch.setattr(cli, "write_by_suffix",
+                        lambda path, image, maxval: seen.append(scipy.fft.get_workers()))
+    argv = ["blur", "--image", str(truth), "--psf", "identity", "--bc", "zero",
+            "--out", str(tmp_path / "o.txt")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    with scipy.fft.set_workers(2):
+        assert main(argv) == 0
+        assert scipy.fft.get_workers() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert main(argv) == 0
+    assert seen == [3, 4]
+    assert scipy.fft.get_workers() == 1
 
 
 @pytest.mark.parametrize("image", ["truth.txt", "missing.txt"])

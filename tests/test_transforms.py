@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 
@@ -324,3 +325,124 @@ def test_two_level_memory_is_output_plus_one_block():
     # (2 x 64 x 1024 floats, 1 MiB) and the Bluestein scratch of the
     # 1022-long interiors (64 x 2048 complex, 2 MiB); measured 3.4 MiB
     assert peak - out.nbytes <= 4 * 2**20
+
+
+def _at_workers(workers, func, *args):
+    with scipy.fft.set_workers(workers):
+        return func(*args)
+
+
+# Thread counts: lines 255-257 make 4-5 blocks (at most 2 threads);
+# (2, 257, 515) along its last axis and (3, 600, 130) along its middle one
+# make 10 and 9 blocks (3 threads, spans crossing the leading axis). The
+# ramp interiors of 514 and 515 straddle the direct limit.
+@pytest.mark.parametrize("length", [514, 515, 1024])
+@pytest.mark.parametrize("lines", [255, 256, 257])
+def test_threads_leave_bytes_unchanged(lines, length):
+    x = r.standard_normal_field(lines + length, (lines, length))
+    for kind in TransformKind:
+        for axis, data in ((-1, x), (0, x.T)):
+            ref = _at_workers(1, r.apply_transform, data, kind, axis)
+            for workers in (2, 3):
+                _assert_same_bytes(_at_workers(workers, r.apply_transform, data, kind, axis), ref)
+    ref = _at_workers(1, r.dct3_apply, x, -1, True)
+    _assert_same_bytes(_at_workers(2, r.dct3_apply, x, -1, True), ref)
+
+
+@pytest.mark.parametrize("shape", [(1030,), (2, 257, 515), (3, 600, 130)])
+def test_threads_leave_bytes_unchanged_on_every_axis(shape):
+    x = r.standard_normal_field(len(shape), shape)
+    for axis in range(len(shape)):
+        for kind in TransformKind:
+            if kind in _RAMP_KINDS and shape[axis] < 3:
+                continue
+            ref = _at_workers(1, r.apply_transform, x, kind, axis)
+            for workers in (2, 3):
+                _assert_same_bytes(_at_workers(workers, r.apply_transform, x, kind, axis), ref)
+
+
+@pytest.mark.parametrize("shape", [(600, 1024), (3, 520, 516)])
+def test_threads_leave_two_level_bytes_unchanged(shape):
+    # the second pass runs in place on the first pass's result
+    x = r.standard_normal_field(5, shape)
+    for kind in list(TransformKind) + [(TransformKind.DCT3, TransformKind.DST1)]:
+        ref = _at_workers(1, r.two_level_apply, x, kind)
+        for workers in (2, 3):
+            _assert_same_bytes(_at_workers(workers, r.two_level_apply, x, kind), ref)
+
+
+def test_fast_switching_threads_take_each_block_once():
+    # three threads on the shared block queue, switching every
+    # microsecond: a block lost or taken twice changes the bytes of the
+    # in-place second pass
+    x = r.standard_normal_field(6, (2, 600, 530))
+    ref = _at_workers(1, r.two_level_apply, x, TransformKind.AR_INVERSE)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            out = _at_workers(3, r.two_level_apply, x, TransformKind.AR_INVERSE)
+            _assert_same_bytes(out, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_start_only_above_the_direct_limit(monkeypatch):
+    started = []
+
+    class Counted(transforms.ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(transforms, "ThreadPoolExecutor", Counted)
+    below = [
+        (np.ones((512, 512)), TransformKind.DST1),
+        (np.ones((512, 512)), TransformKind.DCT3),
+        (np.ones((514, 514)), TransformKind.AR),  # 512-long interiors
+        (np.ones((127, 1024)), TransformKind.AR_INVERSE),  # two blocks: one per thread
+    ]
+    for x, kind in below:
+        for axis in (0, 1):
+            _at_workers(3, r.apply_transform, x, kind, axis)
+    assert started == []
+    # the default of one worker never starts a thread
+    r.two_level_apply(np.ones((1024, 1024)), TransformKind.AR)
+    assert started == []
+    # each thread gets two blocks or more
+    _at_workers(3, r.dst1_apply, np.ones((255, 1024)))
+    _at_workers(3, r.ar_apply, np.ones((2, 257, 515)))
+    assert started == [2, 3]
+
+
+def test_driver_alone_sets_library_workers(monkeypatch):
+    # under a caller's worker setting of 3, the calls inside a block get
+    # one worker and the cosine kind gets the driver's thread count
+    seen = []
+    for name in ("dct", "dst", "fft", "ifft"):
+        def spy(*args, _name=name, _real=getattr(transforms, name), **kwargs):
+            seen.append((_name, kwargs.get("workers")))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, name, spy)
+    with scipy.fft.set_workers(3):
+        r.dst1_apply(np.ones((130, 100)))
+        r.dst1_apply(np.ones((130, 600)))
+        r.dct3_apply(np.ones((130, 100)))
+        r.dct3_apply(np.ones((130, 600)))
+        r.dct3_apply(np.ones((600, 600)))
+    assert sorted(set(seen)) == [("dct", 1), ("dct", 3), ("dst", 1), ("fft", 1), ("ifft", 1)]
+
+
+def test_threaded_memory_is_output_plus_one_block_per_thread():
+    x = r.standard_normal_field(3, (1024, 1024))
+    workers = 2
+    with scipy.fft.set_workers(workers):
+        r.two_level_apply(x, TransformKind.AR)  # warm the plan caches
+        tracemalloc.start()
+        try:
+            out = r.two_level_apply(x, TransformKind.AR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * 2**20 * workers

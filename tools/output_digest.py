@@ -12,6 +12,13 @@ refocus.cli.main in a temporary directory:
   tikhonov by --mu;
 * one anti-reflective side above 514, so the sine transform of its
   interior takes the chirp-convolution path;
+* a gray image with both sides above 514, blurred and restored by tsd
+  and by Tikhonov under both spectral rules: every transform of its
+  restores is long enough to run on threads when the process may use
+  more than one CPU, so running this script pinned to one CPU (taskset
+  -c 0) and unpinned checks that threads leave the bytes unchanged.
+  Set OPENBLAS_NUM_THREADS=1 for that comparison: the tsvd outputs can
+  differ between BLAS thread counts;
 * a mask file written by save_mask and read back through --psf
   file:<path>, in a blur and a restore under both spectral rules;
 * a disk blur, and a color restore, a tsd sweep and a Tikhonov sweep
@@ -64,6 +71,7 @@ def _inputs():
     r.write_image("color.ppm", r.low_frequency_scene_color((22, 18)), 65535)
     # an anti-reflective interior of 514: one past the direct sine limit
     r.write_matrix("long.txt", r.low_frequency_scene((516, 7)))
+    r.write_matrix("large.txt", r.low_frequency_scene((520, 516)))
     r.save_mask(r.gaussian_mask((2, 1), (1.3, 0.7)), MASK_FILE)
     return [
         ("gray", "gray.txt", []),
@@ -100,6 +108,15 @@ def _requests(inputs):
             requests.append(["restore", "--image", f"blur_{name}_reflective{suffix}",
                              "--out", f"threshold_tsvd_{name}{suffix}", "--method", "tsvd",
                              "--threshold", "0.05", "--psf", PSF, "--bc", "reflective"] + mix)
+    for bc in SPECTRAL:
+        common = ["--psf", PSF, "--bc", bc]
+        blurred = f"blur_large_{bc}.txt"
+        requests.append(["blur", "--image", "large.txt", "--out", blurred, "--rho", "0.01",
+                         "--seed", "3"] + common)
+        for method in ("tsd", "tikhonov"):
+            requests.append(["restore", "--image", blurred, "--out",
+                             f"restore_large_{bc}_{method}.txt", "--method", method]
+                            + FILTERS[method] + common)
     for bc in SPECTRAL:
         common = ["--psf", f"file:{MASK_FILE}", "--bc", bc]
         blurred = f"blur_file_{bc}.txt"
