@@ -62,9 +62,10 @@ def cross_channel_blur(image, mixing, op):
     Equivalent to applying the Kronecker product of the mixing matrix
     and the spatial operator to the channel-stacked image vector. With
     mixing None the image is (n1, n2) gray data, blurred as apply_blur
-    blurs it; the result has the shape of image.
+    blurs it; the result has the shape of image. NaN or inf raises
+    InvalidParameterError from apply_blur's one scan of the image.
     """
-    stack, matrix = _channel_stack(image, op, mixing)
+    stack, matrix = _channel_stack(image, op, mixing, finite=False)
     return _mix(matrix, apply_blur(op, stack)).reshape(np.shape(image))
 
 

@@ -176,27 +176,31 @@ def format_optimum(curve):
     return str(int(curve.best_param))
 
 
-def _check_data(x, op, channels, what="data"):
+def _check_data(x, op, channels, what="data", finite=True):
     """The one entry check: finite data as a (C, n1, n2) channel stack.
 
     channels are the channel counts the caller accepts. One channel is an
-    (n1, n2) gray image, C > 1 channels a (C, n1, n2) array.
+    (n1, n2) gray image, C > 1 channels a (C, n1, n2) array. finite=False
+    checks the shape alone, for a caller whose next step scans the values
+    itself, so that no input is scanned twice.
     """
     x = np.asarray(x, dtype=float)
     shapes = [op.shape if c == 1 else (c,) + op.shape for c in channels]
     if x.shape not in shapes:
         raise SizeMismatchError(f"{what} shape {x.shape} does not match any of {shapes}")
-    return _check_finite(x, what).reshape((-1,) + op.shape)
+    x = x.reshape((-1,) + op.shape)
+    return _check_finite(x, what) if finite else x
 
 
-def _channel_stack(x, op, mixing, what="data"):
+def _channel_stack(x, op, mixing, what="data", finite=True):
     """x checked as a channel stack, and the C x C matrix that mixes it.
 
     mixing None takes (n1, n2) gray data, mixed by [1]; a ColorMixing
-    takes (3, n1, n2) color data, mixed by its matrix.
+    takes (3, n1, n2) color data, mixed by its matrix. finite is passed
+    to _check_data.
     """
     matrix = np.eye(1) if mixing is None else mixing.matrix
-    return _check_data(x, op, [len(matrix)], what), matrix
+    return _check_data(x, op, [len(matrix)], what, finite), matrix
 
 
 def _mixer(matrix):

@@ -3,6 +3,8 @@
 The noise generator is a counter mode pseudo random source: output
 element i depends only on (seed, i), so fields of any shape are
 reproducible across platforms and immune to numpy RNG version drift.
+A large field is filled in blocks on the threads scipy.fft.get_workers()
+allows, with the same bytes at any thread count.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from .errors import (
 )
 from .filtering import _check_data, _Plan
 from .imageio import _write_csv
+from .operators import _THREAD_VALUES
+from .transforms import _claim_blocks, _thread_count
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(2**53)
-# Pairs of uniforms per block of standard_normal_field: bounds its
-# temporaries to a few hundred KiB whatever the field size.
+# Pairs of uniforms per block of standard_normal_field: its two uint64
+# block buffers take 1 MiB per thread, whatever the field size.
 _FIELD_BLOCK = 32768
 
 
@@ -44,22 +48,17 @@ class NoiseSpec:
 
 
 def _mix64(x):
-    z = x.copy()
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+    return _mix64_in_place(x.copy(), np.empty_like(x))
+
+
+def _mix64_in_place(z, tmp):
+    """The splitmix64 output mix of a uint64 array, in place; tmp is scratch."""
+    for shift, factor in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        if factor is not None:
+            z *= factor
     return z
-
-
-def _uniform_stream(seed, start, count):
-    """Uniforms start .. start + count - 1 of the seed's counter stream."""
-    base = np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix64(base + idx * _GAMMA)
-    return (z >> np.uint64(11)).astype(float) / _TWO53
 
 
 def standard_normal_field(seed, shape):
@@ -68,9 +67,16 @@ def standard_normal_field(seed, shape):
     Draws pairs of uniforms from a splitmix-style counter stream and
     maps them through the Box-Muller transform, so the field depends
     only on the seed and the element count. The pairs are made in
-    fixed-size blocks, each from its own offset into the stream, so
-    value i is the same function of (seed, i) as in one whole-field pass
-    and the working memory stays a few hundred KiB above the output.
+    blocks of _FIELD_BLOCK, each from its own offset into the stream, so
+    value i is the same function of (seed, i) as in one whole-field pass.
+
+    Fields of _THREAD_VALUES values or more are filled on threads (see
+    transforms._claim_blocks), each taking whole blocks. The calling
+    thread allocates every thread's two uint64 block buffers (1 MiB) and
+    the counter steps they share (0.5 MiB) first, and the block math runs
+    in them and in the output with out=. So the working memory above the
+    output does not grow with the field, and none of it comes from
+    per-thread allocator arenas.
 
     Parameters
     ----------
@@ -88,14 +94,41 @@ def standard_normal_field(seed, shape):
     shape = tuple(_check_int(n, "field size", 1) for n in sides)
     size = math.prod(shape)
     out = np.empty(size + size % 2)  # whole pairs
-    for start in range(0, out.size, 2 * _FIELD_BLOCK):
-        block = out[start : start + 2 * _FIELD_BLOCK]
-        u = _uniform_stream(seed, start, block.size)
-        u1 = u[0::2] + 1.0 / _TWO53
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        block[0::2] = r * np.cos(2.0 * np.pi * u2)
-        block[1::2] = r * np.sin(2.0 * np.pi * u2)
+    base = operator.index(seed) & 0xFFFFFFFFFFFFFFFF
+    block = 2 * _FIELD_BLOCK
+    starts = range(0, out.size, block)
+    workers = _thread_count(len(starts)) if size >= _THREAD_VALUES else 1
+    # counter j of the block at start is start + j, so base + (start + j) *
+    # gamma is (base + start * gamma) + j * gamma: the same modulo 2**64
+    with np.errstate(over="ignore"):
+        steps = np.arange(1, min(block, out.size) + 1, dtype=np.uint64) * _GAMMA
+    buffers = np.empty((workers, 2, steps.size), dtype=np.uint64)
+
+    def work(w, start):
+        pairs = out[start : start + block]
+        n, half = pairs.size, pairs.size // 2
+        z, tmp = buffers[w, :, :n]
+        np.add(steps[:n], np.uint64((base + start * int(_GAMMA)) % 2**64), out=z)
+        _mix64_in_place(z, tmp)
+        np.right_shift(z, np.uint64(11), out=z)
+        # tmp now holds the uniforms, and the halves of z take u1 and the
+        # angle; then the first half of tmp takes the log, cos and sin
+        u = tmp.view(float)
+        np.copyto(u, z, casting="unsafe")
+        u /= _TWO53  # uniforms in [0, 1), exactly
+        u1, angle = z.view(float)[:half], z.view(float)[half:]
+        np.add(u[0::2], 1.0 / _TWO53, out=u1)
+        np.multiply(u[1::2], 2.0 * np.pi, out=angle)  # once for cos and sin
+        radius, trig = u1, u[:half]
+        np.log(u1, out=trig)
+        trig *= -2.0
+        np.sqrt(trig, out=radius)
+        np.cos(angle, out=trig)
+        np.multiply(radius, trig, out=pairs[0::2])
+        np.sin(angle, out=trig)
+        np.multiply(radius, trig, out=pairs[1::2])
+
+    _claim_blocks(starts, workers, work)
     return out[:size].reshape(shape)
 
 

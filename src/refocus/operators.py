@@ -9,6 +9,11 @@ decompositions; the other two exist as reference models.
 
 All routines act on the last two axes, so stacks of images (for example
 color channels) pass through unchanged on the leading axes.
+
+The correlation multiplies once per tile for each mask weight that
+several taps share, and a large blur runs its tiles on the threads
+scipy.fft.get_workers() allows; the output bytes are the same as a sum
+of whole shifted slices at any thread count (see _correlate_valid).
 """
 
 from __future__ import annotations
@@ -23,10 +28,18 @@ from .errors import (
     SizeGuardError, SizeMismatchError, SupportConditionError, _check_finite, _check_int
 )
 from .psf import PsfMask, _check_mask_1d, require_strong_symmetry
+from .transforms import _claim_blocks, _thread_count
 
 _DENSE_LIMIT = 20000
 _ASSEMBLE_BATCH = 512
 _TILE_BYTES = 256 * 1024
+# Scratch per thread of _correlate_valid for the products that several
+# taps of one weight share, beyond its tile and its one-tap product.
+_SHARE_BYTES = 2 * _TILE_BYTES
+# Blurs and noise fields of at least this many output values run on
+# threads; every blur and noise field of the experiment workloads (sides
+# up to 256, three channels up to 128) stays below it.
+_THREAD_VALUES = 2**18
 
 
 class BoundaryCondition(Enum):
@@ -153,36 +166,78 @@ def _correlate_valid(extended, weights, out_shape):
     accumulates in the extended layout, where every tap is one
     contiguous run of the flattened input; the samples that fall in
     the margins are discarded. Every kept pixel receives the nonzero
-    taps in row-major order, each as one multiply and one add onto
-    zero, so the result is bitwise the same as summing whole shifted
-    slices.
+    taps in row-major order, each as one product added onto zero, so
+    the result is bitwise the same as summing whole shifted slices.
+
+    A weight that several taps share is multiplied once per tile, over
+    the run that covers all of its taps; each of those taps then adds a
+    slice of that product, which holds the same rounded values as its
+    own multiply would. The weights with the most taps are shared first,
+    as long as their products fit in _SHARE_BYTES; the other taps
+    multiply into a scratch tile one at a time. A disk mask has one
+    weight, so its 69-tap 11x11 mask costs one multiply and 69 adds per
+    tile instead of 69 of each.
+
+    Outputs of _THREAD_VALUES values or more are built on threads (see
+    transforms._claim_blocks): each takes whole tiles, with its own
+    scratch allocated here, so the bytes do not depend on the thread
+    count.
     """
     n1, n2 = out_shape
     e1, e2 = extended.shape[-2:]
     flat = extended.reshape(-1)
     count = flat.size // (e1 * e2)
     out = np.empty((count, n1, n2))
-    rows, cols = np.nonzero(weights)
-    taps = list(zip((rows * e2 + cols).tolist(), weights[rows, cols].tolist()))
     if 8 * e1 * e2 <= _TILE_BYTES:
         images, strip = _TILE_BYTES // (8 * e1 * e2), n1
         pitch = e1 * e2
     else:
         images, strip = 1, min(n1, max(1, _TILE_BYTES // (8 * e2)))
         pitch = strip * e2
-    acc, prod = np.empty((2, min(images, count) * pitch))
-    for k0 in range(0, count, images):
-        for r0 in range(0, n1, strip):
-            c, h = min(images, count - k0), min(strip, n1 - r0)
-            span = (c - 1) * pitch + (h - 1) * e2 + n2
-            start = k0 * e1 * e2 + r0 * e2
-            tile, part = acc[:span], prod[:span]
-            tile.fill(0.0)
-            for shift, w in taps:
-                np.multiply(flat[start + shift : start + shift + span], w, out=part)
-                tile += part
-            grid = acc[: c * pitch].reshape(c, pitch // e2, e2)
-            out[k0 : k0 + c, r0 : r0 + h] = grid[:, :h, :n2]
+    size = min(images, count) * pitch  # the longest run a tile accumulates
+    rows, cols = np.nonzero(weights)
+    shifts, values = (rows * e2 + cols).tolist(), weights[rows, cols].tolist()
+    groups = {}  # weight -> the shifts of its taps, in row-major order
+    for shift, value in zip(shifts, values):
+        groups.setdefault(value, []).append(shift)
+    # (weight, first shift, reach, scratch offset) of each shared product
+    products, offsets, end = [], {}, size
+    for value, group in sorted(groups.items(), key=lambda item: -len(item[1])):
+        reach = group[-1] - group[0]
+        if len(group) > 1 and 8 * (end + reach) <= _SHARE_BYTES:
+            products.append((value, group[0], reach, end))
+            offsets[value] = end - group[0]
+            end += reach + size
+    # each tap in row-major order, with the scratch offset of its slice of
+    # a shared product, or None for a tap that multiplies on its own
+    taps = [(shift, value, offsets[value] + shift if value in offsets else None)
+            for shift, value in zip(shifts, values)]
+    tiles = [(k0, r0) for k0 in range(0, count, images) for r0 in range(0, n1, strip)]
+    workers = _thread_count(len(tiles)) if out.size >= _THREAD_VALUES else 1
+    lone = len(offsets) < len(groups)  # some taps multiply on their own
+    scratch = np.empty((workers, end + lone * size))
+
+    def work(w, tile):
+        k0, r0 = tile
+        c, h = min(images, count - k0), min(strip, n1 - r0)
+        span = (c - 1) * pitch + (h - 1) * e2 + n2
+        start = k0 * e1 * e2 + r0 * e2
+        buf = scratch[w]
+        acc, part = buf[:span], buf[end : end + span]
+        acc.fill(0.0)
+        for value, first, reach, at in products:
+            run = flat[start + first : start + first + reach + span]
+            np.multiply(run, value, out=buf[at : at + reach + span])
+        for shift, value, at in taps:
+            if at is None:
+                np.multiply(flat[start + shift : start + shift + span], value, out=part)
+                acc += part
+            else:
+                acc += buf[at : at + span]
+        grid = buf[: c * pitch].reshape(c, pitch // e2, e2)
+        out[k0 : k0 + c, r0 : r0 + h] = grid[:, :h, :n2]
+
+    _claim_blocks(tiles, workers, work)
     return out.reshape(extended.shape[:-2] + (n1, n2))
 
 

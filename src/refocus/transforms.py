@@ -28,6 +28,8 @@ at a time until none is left. W is scipy.fft.get_workers(), at most
 half the number of blocks, so each thread gets two or more; the cosine
 kind passes the same W to the library DCT. Every block is transformed
 as it would be alone, so the result has the same bytes at any W. The
+blur and the noise field share this thread rule (_thread_count) and
+the claim-a-block loop (_claim_blocks), which live here once. The
 calling thread builds the plans and allocates every thread's buffers
 before the threads start, so the large buffers come from its heap, not
 from per-thread allocator arenas. The library calls inside a block run
@@ -219,21 +221,57 @@ _ROW_KERNELS = {
 }
 
 
+def _thread_count(blocks):
+    """Threads for a pass over independent blocks of work.
+
+    scipy.fft.get_workers(), but at most half the blocks, so each thread
+    gets two or more. The transforms, the blur and the noise field share
+    this rule; each caller decides above which size a pass may use it.
+    """
+    return max(1, min(get_workers(), blocks // 2))
+
+
+def _claim_blocks(blocks, workers, work):
+    """Call work(w, block) once for every block, on workers threads.
+
+    Thread w (0 <= w < workers) takes the next unclaimed block until none
+    is left, so a thread on a busy core holds up no fixed share of the
+    pass. Each block goes to exactly one thread, because deque.popleft is
+    thread-safe. work must give each block the same result whichever
+    thread takes it; w only selects that thread's scratch, which the
+    caller allocates before the threads start. With one worker the
+    calling thread takes the blocks in order and no thread starts.
+    """
+    todo = deque(blocks)
+
+    def run(w):
+        while True:
+            try:
+                block = todo.popleft()
+            except IndexError:  # every block is taken
+                return
+            work(w, block)
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))
+
+
 def _workers(shape, axis, length):
     """Threads for one pass along axis of an array of this shape.
 
     length is what the sine transform of each line covers (the whole
     line for the cosine kind). One thread up to the direct limit; above
-    it scipy.fft.get_workers(), but at most half the _ROW_BLOCK-line
-    blocks of the pass, so each thread gets two or more.
+    it _thread_count of the pass's _ROW_BLOCK-line blocks.
     """
     if length <= _SINE_DIRECT_LIMIT:
         return 1
     lines = list(shape)
     del lines[axis]
     lines = lines or [1]
-    blocks = math.prod(lines[:-1]) * -(-lines[-1] // _ROW_BLOCK)
-    return max(1, min(get_workers(), blocks // 2))
+    return _thread_count(math.prod(lines[:-1]) * -(-lines[-1] // _ROW_BLOCK))
 
 
 def _transform(x, kind, axis=-1, transposed=False, in_place=False):
@@ -244,7 +282,7 @@ def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     along axis: each block is gathered into a contiguous buffer,
     transformed there by the kind's row kernel and written into the
     result. Above the direct limit _workers threads take blocks one at
-    a time until none is left (see the module docstring). Each thread's
+    a time until none is left (_claim_blocks). Each thread's
     buffers and Bluestein scratch are allocated once per call, here, so
     nothing image-sized is copied and no block allocates. in_place
     overwrites x, which must then be a float64 array.
@@ -265,9 +303,6 @@ def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     out = x if in_place else np.empty(x.shape)
     src, dest = (np.atleast_2d(np.moveaxis(a, axis, -1)) for a in (x, out))
     rows = src.shape[-2]
-    # deque.popleft is thread-safe, so each block goes to exactly one thread
-    todo = deque((lead, i) for lead in np.ndindex(src.shape[:-2])
-                 for i in range(0, rows, _ROW_BLOCK))
     lines = np.empty((workers, 2, min(rows, _ROW_BLOCK), m))
     scratch = [None]
     if m - ramps > _SINE_DIRECT_LIMIT:
@@ -275,23 +310,16 @@ def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     if ramps:
         ramp_vector(m)  # cached here, before any thread looks it up
 
-    def run(w):
+    def work(w, block_at):
+        lead, i = block_at
         buf, tmp = lines[w]
-        while True:
-            try:
-                lead, i = todo.popleft()
-            except IndexError:  # every block is taken
-                return
-            block = buf[: min(rows - i, _ROW_BLOCK)]
-            np.copyto(block, src[lead][i : i + _ROW_BLOCK])
-            kernel(block, tmp, scratch[w])
-            dest[lead][i : i + _ROW_BLOCK] = block
+        block = buf[: min(rows - i, _ROW_BLOCK)]
+        np.copyto(block, src[lead][i : i + _ROW_BLOCK])
+        kernel(block, tmp, scratch[w])
+        dest[lead][i : i + _ROW_BLOCK] = block
 
-    if workers == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(workers)))
+    _claim_blocks(((lead, i) for lead in np.ndindex(src.shape[:-2])
+                   for i in range(0, rows, _ROW_BLOCK)), workers, work)
     return out
 
 

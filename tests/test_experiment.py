@@ -413,6 +413,35 @@ def test_cli_noisy_color_blur_working_set(tmp_path, capsys):
     assert peak <= 4 * image_bytes, f"peak {peak / image_bytes:.2f} image sizes"
 
 
+def test_cli_blur_scans_its_input_for_nan_once(tmp_path, capsys, monkeypatch):
+    common = ["--psf", "disk:1:1.0", "--bc", "reflective", "--rho", "0.01"]
+    bad, out = tmp_path / "bad.txt", tmp_path / "bad_out.txt"
+    bad.write_text("0.5 0.5 0.5\n0.5 nan 0.5\n0.5 0.5 0.5\n")
+    assert main(["blur", "--image", str(bad), "--out", str(out)] + common) == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not out.exists()
+    isfinite = np.isfinite
+    mix = ["--mix", "0.7,0.2,0.1,0.15,0.7,0.15,0.1,0.2,0.7"]
+    for name, scene, extra in (("gray.pgm", r.low_frequency_scene((12, 10)), []),
+                               ("color.ppm", r.low_frequency_scene_color((12, 10)), mix)):
+        src = tmp_path / name
+        r.write_image(src, scene, 255)
+        image = r.read_image(src)  # the values the verb reads
+        scans = []
+
+        def spy(x, *args, **kwargs):
+            same = isinstance(x, np.ndarray) and x.size == image.size
+            scans.append(same and x.tobytes() == image.tobytes())
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        argv = ["blur", "--image", str(src), "--out", str(tmp_path / f"out_{name}")]
+        assert main(argv + common + extra) == 0
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        assert scans.count(True) == 1, name
+    capsys.readouterr()
+
+
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     truth = tmp_path / "truth.txt"
     r.write_matrix(truth, r.low_frequency_scene((8, 8)))

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import refocus as r
+from refocus import transforms
 from refocus.metrics import _FIELD_BLOCK, _GAMMA, _mix64
+from refocus.operators import _THREAD_VALUES
 from refocus.operators import BoundaryCondition as BC
 
 from conftest import rough_image
@@ -208,3 +212,60 @@ def test_add_noise_rejects_non_finite_data(bad):
     for rho in (0.1, 0.0):
         with pytest.raises(r.InvalidParameterError, match="NaN or inf"):
             r.add_noise([[bad, 1.0]], r.NoiseSpec(rho, 1))
+
+
+def _field_at(workers, seed, shape):
+    with scipy.fft.set_workers(workers):
+        return r.standard_normal_field(seed, shape)
+
+
+_BLOCK = 2 * _FIELD_BLOCK  # values per block
+
+
+# from one value below the thread cutoff (four blocks) up, around whole
+# blocks and whole pairs, and one odd 3-D field with a partial block
+@pytest.mark.parametrize("shape", [
+    4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, 5 * _BLOCK - 2, 7 * _BLOCK + 3, (3, 311, 299),
+])
+def test_threaded_field_matches_one_shot_formula(shape):
+    want = _one_shot_field(-9, math.prod(np.atleast_1d(shape))).tobytes()
+    for workers in (1, 2, 3):
+        field = _field_at(workers, -9, shape)
+        assert field.shape == np.empty(shape).shape and field.tobytes() == want
+
+
+def test_threaded_field_memory_is_output_plus_block_buffers():
+    shape = (1020, 1020)
+    _field_at(2, 1, shape)  # warm-up: first-call allocations stay out of the peak
+    with scipy.fft.set_workers(2):
+        tracemalloc.start()
+        try:
+            out = r.standard_normal_field(1, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # two uint64 block buffers per thread, plus the counter steps they share
+    assert peak <= out.nbytes + (2 * 2 + 1) * 8 * _BLOCK + 2**16
+
+
+def test_field_threads_start_only_above_the_cutoff(monkeypatch):
+    started = []
+
+    class Counted(transforms.ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(transforms, "ThreadPoolExecutor", Counted)
+    assert _THREAD_VALUES == 4 * _BLOCK
+    # the experiment workloads' fields: 256^2 gray, 3 x 128^2 color, and
+    # one value below the cutoff
+    for shape in [(256, 256), (3, 128, 128), (3, 256, 256), _THREAD_VALUES - 1]:
+        _field_at(3, 1, shape)
+    assert started == []
+    r.standard_normal_field(1, (1020, 1020))  # the library default of one worker
+    assert started == []
+    # at most half the blocks
+    _field_at(3, 1, _THREAD_VALUES)
+    _field_at(3, 1, (1020, 1020))
+    assert started == [2, 3]

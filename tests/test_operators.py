@@ -1,13 +1,16 @@
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 
 import refocus as r
+from refocus import transforms
 from refocus.filtering import log_mu_grid, restore, sweep
-from refocus.operators import _TILE_BYTES, _correlate_valid
+from refocus.operators import _SHARE_BYTES, _THREAD_VALUES, _TILE_BYTES, _correlate_valid
 from refocus.operators import BoundaryCondition as BC
 
 from conftest import rough_image, smooth_image
@@ -414,3 +417,102 @@ def test_blur_memory_is_output_plus_extension_plus_one_mib():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + extension_bytes + 2**20
+
+
+def _correlate_at(workers, extended, weights, out_shape):
+    with scipy.fft.set_workers(workers):
+        return _correlate_valid(extended, weights, out_shape)
+
+
+def _sparse_weights():
+    w = np.zeros((5, 5))
+    w[0, 0] = w[4, 4] = 0.5  # one weight on two taps four rows apart
+    w[2, 1] = 0.25  # a weight on a single tap
+    return w
+
+
+# the disk has one weight on its 69 taps; the 15 x 15 gaussian has 35
+# weights, more than the scratch shares; the ramp puts each weight on
+# one tap, so nothing is shared
+_PIN_MASKS = {
+    "disk": r.out_of_focus_mask((5, 5), 4.5).weights,
+    "gauss15": r.gaussian_mask((7, 7), 2.0).weights,
+    "ramp": np.arange(1.0, 10.0).reshape(3, 3) / 45.0,
+    "sparse": _sparse_weights(),
+    "zero": np.zeros((5, 3)),
+}
+
+
+# Above the thread cutoff: 520 x 516 images take strip tiles, one and
+# three channels; 40 images of 80 x 90 take whole-image tiles, three or
+# more images each. The empty stack has no tile at all.
+@pytest.mark.parametrize("shape", [(1, 520, 516), (3, 520, 516), (40, 80, 90), (0, 520, 516)])
+@pytest.mark.parametrize("name", list(_PIN_MASKS))
+def test_threads_and_shared_products_leave_blur_bytes_unchanged(shape, name):
+    weights = _PIN_MASKS[name]
+    x = np.zeros(shape) if 0 in shape else r.standard_normal_field(len(shape), shape)
+    x.flat[::7] = -0.0
+    ext = r.pad(x, BC.REFLECTIVE, tuple(n // 2 for n in weights.shape))
+    want = _whole_slice_correlate(ext, weights, shape[-2:])
+    for workers in (1, 2, 3):
+        assert _same_bits(_correlate_at(workers, ext, weights, shape[-2:]), want)
+
+
+def test_fast_switching_blur_threads_keep_their_scratch():
+    # three threads switching every microsecond: a tile lost, taken twice
+    # or built in another thread's scratch changes the bytes
+    weights = _PIN_MASKS["gauss15"]
+    x = r.standard_normal_field(4, (3, 520, 516))
+    ext = r.pad(x, BC.REFLECTIVE, (7, 7))
+    want = _correlate_at(1, ext, weights, x.shape[-2:])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert _same_bits(_correlate_at(3, ext, weights, x.shape[-2:]), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pin_masks_cover_shared_and_lone_taps():
+    # every shared product spans at least a tile, so the gaussian's 35
+    # weights need more scratch than the shares may take
+    gauss = _PIN_MASKS["gauss15"]
+    assert np.unique(gauss).size * _TILE_BYTES > _SHARE_BYTES
+    assert np.unique(_PIN_MASKS["disk"][_PIN_MASKS["disk"] != 0]).size == 1
+    assert (np.unique(gauss, return_counts=True)[1] == 1).any()
+    assert np.count_nonzero(_PIN_MASKS["sparse"]) == 3
+
+
+def test_blur_threads_start_only_above_the_cutoff(monkeypatch):
+    started = []
+
+    class Counted(transforms.ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(transforms, "ThreadPoolExecutor", Counted)
+    disk = r.out_of_focus_mask((3, 3), 2.5)
+    # the experiment workloads (gray sides up to 256, color up to 128)
+    # and one value below the cutoff
+    below = [(48, 48), (80, 80), (256, 256), (3, 64, 64), (3, 128, 128), (3, 256, 256)]
+    below.append((1, 511, 513))
+    assert 511 * 513 == _THREAD_VALUES - 1
+    for shape in below:
+        x = np.ones(shape)
+        op = r.BlurOperator(disk, BC.REFLECTIVE, shape[-2:])
+        with scipy.fft.set_workers(3):
+            r.apply_blur(op, x)
+            r.blur_oversized_scene(r.pad(x, BC.REFLECTIVE, (3, 3)), disk)
+    assert started == []
+    # the library default of one worker never starts a thread
+    op = r.BlurOperator(disk, BC.REFLECTIVE, (1024, 1024))
+    r.apply_blur(op, np.ones((1024, 1024)))
+    assert started == []
+    # from the cutoff up: at most half the tiles (9 strips at 512^2)
+    with scipy.fft.set_workers(3):
+        r.apply_blur(r.BlurOperator(disk, BC.REFLECTIVE, (512, 512)), np.ones((512, 512)))
+    with scipy.fft.set_workers(2):
+        r.apply_blur(r.BlurOperator(disk, BC.ZERO, (10, 10)), np.ones((3000, 10, 10)))
+    assert started == [3, 2]

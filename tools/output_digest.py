@@ -19,6 +19,9 @@ refocus.cli.main in a temporary directory:
   -c 0) and unpinned checks that threads leave the bytes unchanged.
   Set OPENBLAS_NUM_THREADS=1 for that comparison: the tsvd outputs can
   differ between BLAS thread counts;
+* noisy disk blurs of that gray image under all four rules, and a noisy
+  color blur of a 3 x 520 x 516 image: each blur and noise field is
+  above the size from which they run on threads;
 * a mask file written by save_mask and read back through --psf
   file:<path>, in a blur and a restore under both spectral rules;
 * a disk blur, and a color restore, a tsd sweep and a Tikhonov sweep
@@ -55,6 +58,7 @@ PSF = "gaussian:2:1.1"
 MASK_FILE = "mask.txt"
 MIX = "0.7,0.2,0.1,0.25,0.5,0.25,0.15,0.1,0.75"
 SPECTRAL = ("reflective", "antireflective")
+RULES = SPECTRAL + ("periodic", "zero")
 # per method: the filter setting of a restore and the cap of a sweep
 FILTERS = {
     "tsd": ["--count", "150"],
@@ -72,6 +76,7 @@ def _inputs():
     # an anti-reflective interior of 514: one past the direct sine limit
     r.write_matrix("long.txt", r.low_frequency_scene((516, 7)))
     r.write_matrix("large.txt", r.low_frequency_scene((520, 516)))
+    r.write_image("large_color.ppm", r.low_frequency_scene_color((520, 516)), 65535)
     r.save_mask(r.gaussian_mask((2, 1), (1.3, 0.7)), MASK_FILE)
     return [
         ("gray", "gray.txt", []),
@@ -85,7 +90,7 @@ def _requests(inputs):
     requests = []
     for name, path, mix in inputs:
         suffix = Path(path).suffix
-        rules = ("reflective", "antireflective", "periodic", "zero")
+        rules = RULES
         if name == "long":
             rules = ("antireflective",)
         for bc in rules:
@@ -117,6 +122,12 @@ def _requests(inputs):
             requests.append(["restore", "--image", blurred, "--out",
                              f"restore_large_{bc}_{method}.txt", "--method", method]
                             + FILTERS[method] + common)
+    for bc in RULES:
+        requests.append(["blur", "--image", "large.txt", "--out", f"blur_large_disk_{bc}.txt",
+                         "--psf", "disk:5:4.5", "--bc", bc, "--rho", "0.01", "--seed", "5"])
+    requests.append(["blur", "--image", "large_color.ppm", "--out", "blur_large_color.ppm",
+                     "--psf", PSF, "--bc", "reflective", "--mix", MIX, "--rho", "0.01",
+                     "--seed", "6", "--maxval", "65535"])
     for bc in SPECTRAL:
         common = ["--psf", f"file:{MASK_FILE}", "--bc", bc]
         blurred = f"blur_file_{bc}.txt"
