@@ -39,6 +39,15 @@ the spec a sweep optimum becomes, the methods that must unmix a mix)
 is written here once, and the experiment runner and the CLI only
 dispatch to this core.
 
+Under the reflective rule the DCT diagonalizes each symmetric factor,
+so its SVD is the cosine basis with the singular values |lambda| and
+the signs of lambda moved into the left vectors: the tsvd plan is the
+cosine two-level transform plus a per-axis permutation into descending
+|lambda|, with no dense matrix and no LAPACK call. Every other rule
+decomposes the dense 1-D factor matrices by LAPACK, once per distinct
+factor, on one BLAS thread, so the bytes do not depend on the BLAS
+thread count.
+
 Sweeps never synthesize an image. The error of a restoration is the
 norm of its coefficient difference from the reference's coefficients,
 weighted by the Gram matrix S^T S of the synthesis basis per axis. A
@@ -64,8 +73,8 @@ from .errors import (
     _check_finite, _check_int, _check_real,
 )
 from .imageio import _write_csv
-from .operators import assemble_dense_1d
-from .psf import separable_factors
+from .operators import BoundaryCondition, assemble_dense_1d
+from .psf import generating_function_1d, separable_factors
 from .spectrum import (
     eigen_grid_for,
     sort_spectrum,
@@ -73,6 +82,7 @@ from .spectrum import (
     spectral_synthesis,
     synthesis_gram,
 )
+from .transforms import _one_blas_thread
 
 # Spectral values smaller than this in magnitude are treated as exact
 # zeros and never inverted, by either truncation: a count or a threshold
@@ -306,23 +316,49 @@ class _Plan:
     and the borders are computed on first use, so a restore never sorts
     (count truncation selects, see _largest) and only sweeps build the
     borders. A plan lives as long as the call or run that built it.
+
+    The svd basis holds the factors' singular values in descending order
+    per axis, so lam[i, j] = s1[i] s2[j] and ties resolve in that order.
+    Under the reflective rule they come from the cosine spectrum
+    (_cosine_factor): coordinates is the cosine analysis permuted,
+    analysis also multiplies by the signs, and synthesis undoes the
+    permutation before the cosine synthesis. Otherwise they come from
+    LAPACK (_factor_svds); svds, a dict that the plans of one run share,
+    holds the decompositions already made.
     """
 
-    def __init__(self, op, basis):
+    def __init__(self, op, basis, svds=None):
         self.op = op
         if basis == "eigen":
             self.lam = eigen_grid_for(op).values
             self.analysis = self.coordinates = lambda x: spectral_analysis(x, op.bc)
             self.synthesis = lambda x: spectral_synthesis(x, op.bc)
-        else:
-            (u1, s1, v1t), (u2, s2, v2t) = (
-                np.linalg.svd(assemble_dense_1d(w, n, op.bc))
-                for w, n in zip(separable_factors(op.mask), op.shape)
+        elif op.bc is BoundaryCondition.REFLECTIVE:
+            (p1, sign1, s1), (p2, sign2, s2) = (
+                _cosine_factor(w, n) for w, n in zip(separable_factors(op.mask), op.shape)
             )
+            back = [np.argsort(p) for p in (p1, p2)]
             self.lam = np.multiply.outer(s1, s2)
-            self.analysis = lambda x: u1.T @ x @ u2
-            self.synthesis = lambda x: v1t.T @ x @ v2t
-            self.coordinates = lambda x: v1t @ x @ v2t.T
+
+            def coordinates(x):
+                return _permuted(spectral_analysis(x, op.bc), p1, p2)
+
+            def analysis(x):
+                y = coordinates(x)
+                y *= sign1[:, None]
+                y *= sign2
+                return y
+
+            self.analysis, self.coordinates = analysis, coordinates
+            self.synthesis = lambda x: spectral_synthesis(_permuted(x, *back), op.bc)
+            self.borders = None  # the cosine basis is orthonormal
+        else:
+            (u1, s1, v1t), (u2, s2, v2t) = _factor_svds(op, {} if svds is None else svds)
+            self.lam = np.multiply.outer(s1, s2)
+            pinned = _one_blas_thread()
+            self.analysis = pinned(lambda x: u1.T @ x @ u2)
+            self.synthesis = pinned(lambda x: v1t.T @ x @ v2t)
+            self.coordinates = pinned(lambda x: v1t @ x @ v2t.T)
             self.borders = None  # both singular bases are orthonormal
 
     @cached_property
@@ -353,6 +389,42 @@ class _Plan:
         return synthesis_gram(self.op.bc, self.op.shape)
 
 
+def _cosine_factor(w, n):
+    """The SVD of a reflective 1-D factor, read off its cosine eigenvalues.
+
+    The DCT diagonalizes the factor, with eigenvalues lam_s = f(pi s / n),
+    so its singular values are |lam| and its singular vectors the cosine
+    columns, the left ones times sign(lam). Returns the stable
+    permutation p into descending |lam|, sign(lam[p]) with 0 -> +1, and
+    |lam[p]|.
+    """
+    lam = generating_function_1d(w, np.arange(n) * np.pi / n)
+    p = np.argsort(-np.abs(lam), kind="stable")
+    return p, np.where(lam[p] < 0, -1.0, 1.0), np.abs(lam[p])
+
+
+def _permuted(x, p1, p2):
+    """x with its last two axes reordered by p1 and p2."""
+    return np.take(np.take(x, p1, axis=-2), p2, axis=-1)
+
+
+def _factor_svds(op, svds):
+    """The SVD of each 1-D factor matrix of op, one LAPACK call per distinct factor.
+
+    svds maps (factor bytes, size, rule) to a decomposition already made;
+    new ones are added to it, so a dict shared by several plans serves
+    them all.
+    """
+    out = []
+    for w, n in zip(separable_factors(op.mask), op.shape):
+        key = (w.tobytes(), n, op.bc)
+        if key not in svds:
+            with _one_blas_thread():
+                svds[key] = np.linalg.svd(assemble_dense_1d(w, n, op.bc))
+        out.append(svds[key])
+    return out
+
+
 def _plan(op, method):
     """A new plan of the basis that method filters in."""
     if method not in _BASIS:
@@ -370,7 +442,8 @@ def _run_plans(ops, methods, mix):
     truncation method in methods cannot unmix.
     """
     bases = dict.fromkeys(["eigen"] + [_BASIS[method] for method in methods])
-    plans = {(key, basis): _Plan(op, basis) for basis in bases for key, op in ops.items()}
+    svds = {}
+    plans = {(key, basis): _Plan(op, basis, svds) for basis in bases for key, op in ops.items()}
     if mix is not None and set(methods) != {"tikhonov"}:
         _unmixing(mix.matrix)
     return {key: (plans[key, "eigen"], {m: plans[key, _BASIS[m]] for m in methods}) for key in ops}
@@ -590,7 +663,8 @@ def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
     """sweep in a plan already built for method's basis."""
     g, matrix = _channel_stack(g, plan.op, mixing)
     f_true, _ = _channel_stack(f_true, plan.op, mixing, "reference")
-    true_norm = np.linalg.norm(f_true)
+    with _one_blas_thread():
+        true_norm = np.linalg.norm(f_true)
     if not true_norm > 0:
         raise InvalidParameterError("reference image must be nonzero")
     max_terms = _check_max_terms(max_terms)
@@ -601,7 +675,8 @@ def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
     if method == "tikhonov":
         damped = _tikhonov(coef, plan.lam, matrix)
         params = mu_grid
-        err_sq = np.array([_gram_norm_sq(damped(mu) - target, plan.borders) for mu in mu_grid])
+        with _one_blas_thread():
+            err_sq = np.array([_gram_norm_sq(damped(mu) - target, plan.borders) for mu in mu_grid])
     else:
         err_sq = _truncation_errors(_mix(_unmixing(matrix), coef), plan, target, max_terms)
         params = np.arange(1, err_sq.size + 1)

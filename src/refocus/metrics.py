@@ -21,7 +21,7 @@ from .errors import (
 from .filtering import _check_data, _Plan
 from .imageio import _write_csv
 from .operators import _THREAD_VALUES
-from .transforms import _claim_blocks, _thread_count
+from .transforms import _claim_blocks, _one_blas_thread, _thread_count
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -164,7 +164,8 @@ def add_noise(g, spec):
     if spec.rho == 0:
         return g.copy(), math.inf
     nu = standard_normal_field(spec.seed, g.shape)
-    scale = spec.rho * np.linalg.norm(g.ravel()) / np.linalg.norm(nu.ravel())
+    with _one_blas_thread():
+        scale = spec.rho * np.linalg.norm(g.ravel()) / np.linalg.norm(nu.ravel())
     # bitwise g + scale * nu: IEEE products and sums commute
     nu *= scale
     nu += g
@@ -184,10 +185,11 @@ def rre(estimate, reference):
         )
     _check_finite(estimate, "estimate")
     _check_finite(reference, "reference")
-    denom = np.linalg.norm(reference.ravel())
-    if denom == 0:
-        raise InvalidParameterError("reference image has zero norm")
-    return float(np.linalg.norm((estimate - reference).ravel()) / denom)
+    with _one_blas_thread():
+        denom = np.linalg.norm(reference.ravel())
+        if denom == 0:
+            raise InvalidParameterError("reference image has zero norm")
+        return float(np.linalg.norm((estimate - reference).ravel()) / denom)
 
 
 def picard_data(g, op):

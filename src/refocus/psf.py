@@ -24,6 +24,7 @@ from .errors import (
     _check_real,
 )
 from .imageio import _read_rows, _utf8_text, _write_table
+from .transforms import _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,8 @@ def generating_function(mask, x1, x2):
     scalar = np.isscalar(x1) and np.isscalar(x2)
     c1 = np.cos(np.multiply.outer(np.atleast_1d(x1).astype(float), s1))
     c2 = np.cos(np.multiply.outer(s2, np.atleast_1d(x2).astype(float)))
-    out = c1 @ mask.weights @ c2
+    with _one_blas_thread():
+        out = c1 @ mask.weights @ c2
     return float(out[0, 0]) if scalar else out
 
 

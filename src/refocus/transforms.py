@@ -36,6 +36,9 @@ from per-thread allocator arenas. The library calls inside a block run
 with one worker, so a caller's worker setting never multiplies the
 threads. Library calls stay on one thread, scipy's default; the command
 line runs each verb with one worker per CPU the process may run on.
+Every BLAS call whose bytes depend on the OpenBLAS thread count runs on
+one OpenBLAS thread (_one_blas_thread), which lives here with the other
+thread rules.
 
 On a 2-core Xeon VM (medians of 21 calls), two threads take a two-level
 anti-reflective transform at 1024^2 from 161 to 91 ms and the cosine
@@ -45,9 +48,12 @@ threads made the anti-reflective pair 1.8x slower (4.1 to 7.5 ms).
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -257,6 +263,51 @@ def _claim_blocks(blocks, workers, work):
     else:
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(run, range(workers)))
+
+
+@lru_cache(maxsize=1)
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    numpy's wheels link their linear algebra against scipy-openblas,
+    whose symbols the loader finds through numpy's own extension. A numpy
+    built on another BLAS has no such symbols and is not pinned.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_BLAS_PIN = threading.RLock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block, or decorated function, on one OpenBLAS thread.
+
+    On two threads OpenBLAS splits an SVD, a dot product of more than
+    10,000 values and a large matrix product differently than on one,
+    with other last bits, so each such call whose result reaches an
+    output runs here. The count is process-wide: one lock covers the
+    whole block, and the caller's count comes back afterwards.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    with _BLAS_PIN:
+        count = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(count)
 
 
 def _workers(shape, axis, length):

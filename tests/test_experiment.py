@@ -12,6 +12,7 @@ from refocus.cli import main
 from refocus.filtering import log_mu_grid
 from refocus.operators import BoundaryCondition as BC
 
+from test_filtering import _count_factor_svds
 from test_sweep import _count_calls
 
 
@@ -177,25 +178,32 @@ def test_unusable_basis_fails_before_output(tmp_path, settings, error):
 
 
 def test_run_experiment_builds_each_basis_once(tmp_path, monkeypatch):
-    calls = dict.fromkeys(("eigen_grid_for", "assemble_dense_1d", "sort_spectrum"), 0)
-    for name in calls:
-        _count_calls(monkeypatch, calls, name)
-    config = r.load_config(None, [
-        "scene=sinusoids:14x14", "psf=gaussian:1:0.8", "bc=reflective,antireflective",
-        "method=tsd,tsvd,tikhonov", "rho=0.001,0.01", f"out={tmp_path / 'x'}",
-    ])
-    r.run_experiment(config)
-    operators = 2
-    assert calls["eigen_grid_for"] == operators
-    assert calls["assemble_dense_1d"] == 2 * operators  # one per axis of each svd plan
-    assert calls["sort_spectrum"] <= 2 * operators  # one per basis
+    # gaussian:1:0.8 has bitwise equal factors, so the square field of view
+    # has one distinct factor and the 14 x 12 one two; the reflective tsvd
+    # plan reads its singular values off the cosine spectrum, with no SVD
+    for scene, distinct in (("sinusoids:14x14", 1), ("sinusoids:14x12", 2)):
+        calls = dict.fromkeys(("eigen_grid_for", "assemble_dense_1d", "sort_spectrum"), 0)
+        for name in calls:
+            _count_calls(monkeypatch, calls, name)
+        svds = _count_factor_svds(monkeypatch)
+        config = r.load_config(None, [
+            f"scene={scene}", "psf=gaussian:1:0.8", "bc=reflective,antireflective",
+            "method=tsd,tsvd,tikhonov", "rho=0.001,0.01", f"out={tmp_path / scene}",
+        ])
+        r.run_experiment(config)
+        monkeypatch.undo()
+        operators = 2
+        assert calls["eigen_grid_for"] == operators
+        assert len(svds) == calls["assemble_dense_1d"] == distinct
+        assert calls["sort_spectrum"] <= 2 * operators  # one per basis
 
 
 def test_run_experiment_shares_one_plan_per_rule_and_basis(tmp_path, monkeypatch):
     built = []
     init = filtering._Plan.__init__
     monkeypatch.setattr(filtering._Plan, "__init__",
-                        lambda plan, op, basis: built.append(basis) or init(plan, op, basis))
+                        lambda plan, op, basis, *svds: built.append(basis)
+                        or init(plan, op, basis, *svds))
     config = r.load_config(None, [
         "scene=sinusoids:14x14", "psf=gaussian:1:0.8", "bc=reflective,antireflective",
         "method=tsd,tsvd,tikhonov", "rho=0.001,0.01", f"out={tmp_path / 'x'}",
@@ -465,14 +473,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     ])
     assert code == 2
     capsys.readouterr()
-    # a numeric failure inside the filter
+    # a numeric failure inside the filter: the anti-reflective tsvd plan
+    # decomposes its factors by LAPACK (the reflective one needs no SVD)
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     code = main([
         "restore", "--image", str(truth), "--psf", "gaussian:1:0.9",
-        "--bc", "reflective", "--method", "tsvd", "--count", "3",
+        "--bc", "antireflective", "--method", "tsvd", "--count", "3",
         "--out", str(tmp_path / "o.txt"),
     ])
     assert code == 3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import refocus as r
-from refocus import filtering
+from refocus import filtering, transforms
 from refocus.operators import BoundaryCondition as BC
 
 from conftest import rough_image, smooth_image
@@ -138,12 +138,15 @@ def _tsvd_outputs(op, g, f, mixing):
 def test_svd_signs_change_no_output(gauss22, mix_matrix, monkeypatch):
     # a singular pair enters every output only through products holding
     # both u_k and v_k, and negating a float is exact, so flipping the
-    # signs LAPACK chose moves no bit
+    # signs LAPACK chose moves no bit. The anti-reflective plan is the one
+    # that calls LAPACK (the reflective one folds the cosine signs itself,
+    # see test_reflective_tsvd_is_the_dense_svd); on the square field its
+    # two axes share one decomposition, so a flip lands on both at once
     real_svd = np.linalg.svd
     rng = np.random.default_rng(3)
     cases = []
-    for bc in (BC.REFLECTIVE, BC.ANTIREFLECTIVE):
-        op = r.BlurOperator(gauss22, bc, (13, 11))
+    for shape in ((13, 11), (12, 12)):
+        op = r.BlurOperator(gauss22, BC.ANTIREFLECTIVE, shape)
         for mixing in (None, mix_matrix):
             f = rng.random(((3,) if mixing else ()) + op.shape)
             g = rng.random(f.shape)
@@ -158,6 +161,85 @@ def test_svd_signs_change_no_output(gauss22, mix_matrix, monkeypatch):
         for op, g, f, mixing, want in cases:
             assert _tsvd_outputs(op, g, f, mixing) == want
         monkeypatch.undo()
+
+
+def _count_factor_svds(monkeypatch):
+    """Wrap np.linalg.svd; the returned list tallies the factor decompositions."""
+    real_svd, calls = np.linalg.svd, []
+
+    def counted_svd(matrix, *args, **kwargs):
+        if np.shape(matrix)[0] > 3:  # not a mixing matrix
+            calls.append(np.shape(matrix))
+        return real_svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+
+
+def test_tsvd_plans_decompose_each_distinct_factor_once(monkeypatch):
+    calls = _count_factor_svds(monkeypatch)
+    equal = r.gaussian_mask((3, 3), 1.5)  # bitwise equal factors
+    unequal = r.gaussian_mask((5, 5), 1.2)  # factors differ in the last bit
+    a, b = r.separable_factors(unequal)
+    assert np.array_equal(*r.separable_factors(equal)) and not np.array_equal(a, b)
+    for mask, shape, want in ((equal, (256, 256), 1), (unequal, (40, 40), 2),
+                              (equal, (40, 36), 2)):
+        filtering._Plan(r.BlurOperator(mask, BC.ANTIREFLECTIVE, shape), "svd")
+        assert len(calls) == want, (mask.half_support, shape)
+        calls.clear()
+    for shape in ((256, 256), (40, 36)):
+        plan = filtering._Plan(r.BlurOperator(unequal, BC.REFLECTIVE, shape), "svd")
+        assert not calls and plan.borders is None
+    # plans of one run share their decompositions
+    ops = {bc: r.BlurOperator(equal, BC.ANTIREFLECTIVE, (30, 30)) for bc in "ab"}
+    ops["c"] = r.BlurOperator(equal, BC.REFLECTIVE, (30, 30))
+    filtering._run_plans(ops, ["tsvd"], None)
+    assert calls == [(30, 30)]
+
+
+def test_cosine_factor_keeps_ties_in_frequency_order(monkeypatch):
+    # a spectrum with many exact |lam| ties and a zero: the permutation is
+    # descending |lam| with ties in frequency order, and the sign of 0 is +1
+    lam = np.resize([0.5, -1.0, 0.0, 1.0, -0.5, 0.25], 40)
+    monkeypatch.setattr(filtering, "generating_function_1d", lambda w, x: lam[: x.size])
+    p, sign, s = filtering._cosine_factor(np.ones(1), 40)
+    assert sorted(p) == list(range(40)) and np.all(np.diff(s) <= 0)
+    ties = s[1:] == s[:-1]
+    assert ties.sum() > 20 and np.all(p[1:][ties] > p[:-1][ties])
+    assert np.array_equal(s, np.abs(lam[p])) and np.array_equal(sign * s, lam[p] + 0.0)
+    assert np.all(sign[lam[p] == 0] == 1.0)
+
+
+def test_reflective_tsvd_is_the_dense_svd(gauss22):
+    # the cosine plan orders its singular values as LAPACK does, ties by
+    # the per-axis order: with equal factors each product s_i s_j equals
+    # s_j s_i bitwise, and a count whose cut splits such a pair keeps
+    # (i, j), i < j, the pair the stable sort of the dense products keeps
+    shape = (24, 24)
+    op, _f, g = _model_pair(gauss22, BC.REFLECTIVE, shape)
+    (u1, s1, v1t), (u2, s2, v2t) = (np.linalg.svd(r.assemble_dense_1d(w, n, op.bc))
+                                    for w, n in zip(r.separable_factors(gauss22), shape))
+    lam = np.multiply.outer(s1, s2)
+    coef = u1.T @ g @ u2
+    plan = filtering._Plan(op, "svd")
+    assert np.abs(plan.lam - lam).max() <= 1e-14 * lam.max()
+    order = np.argsort(-lam.ravel(), kind="stable")
+    ranked = lam.ravel()[order]
+    splits = [k for k in range(2, lam.size - 1)
+              if ranked[k - 1] == ranked[k]
+              and min(ranked[k - 2] - ranked[k - 1], ranked[k] - ranked[k + 1]) > 1e-10]
+    assert len(splits) > 20
+    for k in splits:
+        i, j = np.unravel_index(order[k - 1], shape)
+        assert i < j and order[k] == np.ravel_multi_index((j, i), shape)
+        keep = np.zeros(lam.size, dtype=bool)
+        keep[order[:k]] = True
+        keep = keep.reshape(shape)
+        assert np.array_equal(filtering._keep_mask(plan, r.TruncateByCount(k))[0], keep)
+        res = r.truncated_svd_restore(g, op, r.TruncateByCount(k))
+        ref = v1t.T @ np.where(keep, coef / lam, 0.0) @ v2t
+        cond = lam.max() / lam[keep].min()
+        assert np.linalg.norm(res.image - ref) <= 1e-12 * cond * np.linalg.norm(ref)
 
 
 def test_tikhonov_matches_dense_regularized_solve(gauss11, cross_mask):
@@ -368,3 +450,36 @@ def test_non_finite_sweep_reference_rejected(gauss11):
         r.mu_sweep(g, op, bad)
     with pytest.raises(r.SizeMismatchError):
         r.mu_sweep(g, op, f[:5])
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(gauss22, mix_matrix):
+    # OpenBLAS gives other last bits on two threads than on one for an SVD
+    # at n = 516, a dot product of more than 10,000 values and the symbol
+    # grid at 520 x 516; each runs pinned to one thread
+    threads = transforms._blas_threads()
+    if threads is None:
+        pytest.skip("numpy has no scipy-openblas thread functions here")
+    get, set_ = threads
+    outer = get()
+    f = rough_image((516, 30))
+    op = r.BlurOperator(gauss22, BC.ANTIREFLECTIVE, f.shape)
+    g = r.cross_channel_blur(np.stack([f, f[::-1], 0.5 * f]), mix_matrix, op)
+    large = r.BlurOperator(gauss22, BC.REFLECTIVE, (520, 516))
+
+    def outputs():
+        noisy, _snr = r.add_noise(g, r.NoiseSpec(0.01, 3))
+        curve = filtering.sweep(noisy[0], op, "tsvd", f, max_terms=50)
+        outs = [noisy, r.eigen_grid_for(large).values, curve.rres,
+                filtering.restore(noisy, op, "tsvd", r.TruncateByCount(500), mix_matrix).image,
+                filtering.sweep(noisy[0], op, "tikhonov", f, mu_grid=[1e-3, 1e-1]).rres]
+        return [a.tobytes() for a in outs]
+
+    try:
+        runs = []
+        for count in (1, 2):
+            set_(count)
+            runs.append(outputs())
+            assert get() == count
+    finally:
+        set_(outer)
+    assert runs[0] == runs[1]

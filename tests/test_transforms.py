@@ -446,3 +446,38 @@ def test_threaded_memory_is_output_plus_one_block_per_thread():
         finally:
             tracemalloc.stop()
     assert peak - out.nbytes <= 4 * 2**20 * workers
+
+
+def test_one_blas_thread_pins_and_restores_the_callers_count():
+    threads = transforms._blas_threads()
+    if threads is None:
+        pytest.skip("numpy has no scipy-openblas thread functions here")
+    get, set_ = threads
+    outer = get()
+    try:
+        set_(2)
+        with transforms._one_blas_thread():
+            assert get() == 1
+            with transforms._one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(ZeroDivisionError):
+            with transforms._one_blas_thread():
+                1 / 0
+        assert get() == 2
+    finally:
+        set_(outer)
+
+
+def test_one_blas_thread_without_scipy_openblas(monkeypatch):
+    # a numpy built on another BLAS has no such symbols: nothing is pinned
+    def no_library(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(transforms.ctypes, "CDLL", no_library)
+    assert transforms._blas_threads.__wrapped__() is None
+    monkeypatch.setattr(transforms, "_blas_threads", lambda: None)
+    with transforms._one_blas_thread():
+        ran = True
+    assert ran

@@ -16,9 +16,7 @@ refocus.cli.main in a temporary directory:
   and by Tikhonov under both spectral rules: every transform of its
   restores is long enough to run on threads when the process may use
   more than one CPU, so running this script pinned to one CPU (taskset
-  -c 0) and unpinned checks that threads leave the bytes unchanged.
-  Set OPENBLAS_NUM_THREADS=1 for that comparison: the tsvd outputs can
-  differ between BLAS thread counts;
+  -c 0) and unpinned checks that threads leave the bytes unchanged;
 * noisy disk blurs of that gray image under all four rules, and a noisy
   color blur of a 3 x 520 x 516 image: each blur and noise field is
   above the size from which they run on threads;
