@@ -76,6 +76,7 @@ from .imageio import _write_csv
 from .operators import BoundaryCondition, assemble_dense_1d
 from .psf import generating_function_1d, separable_factors
 from .spectrum import (
+    _cosine_nodes,
     eigen_grid_for,
     sort_spectrum,
     spectral_analysis,
@@ -398,7 +399,7 @@ def _cosine_factor(w, n):
     permutation p into descending |lam|, sign(lam[p]) with 0 -> +1, and
     |lam[p]|.
     """
-    lam = generating_function_1d(w, np.arange(n) * np.pi / n)
+    lam = generating_function_1d(w, _cosine_nodes(n))
     p = np.argsort(-np.abs(lam), kind="stable")
     return p, np.where(lam[p] < 0, -1.0, 1.0), np.abs(lam[p])
 

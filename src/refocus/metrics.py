@@ -3,8 +3,8 @@
 The noise generator is a counter mode pseudo random source: output
 element i depends only on (seed, i), so fields of any shape are
 reproducible across platforms and immune to numpy RNG version drift.
-A large field is filled in blocks on the threads scipy.fft.get_workers()
-allows, with the same bytes at any thread count.
+A large field is filled in blocks on threads by the one thread rule of
+transforms._thread_count, with the same bytes at any thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
 )
 from .filtering import _check_data, _Plan
 from .imageio import _write_csv
-from .operators import _THREAD_VALUES
 from .transforms import _claim_blocks, _one_blas_thread, _thread_count
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -70,13 +69,13 @@ def standard_normal_field(seed, shape):
     blocks of _FIELD_BLOCK, each from its own offset into the stream, so
     value i is the same function of (seed, i) as in one whole-field pass.
 
-    Fields of _THREAD_VALUES values or more are filled on threads (see
-    transforms._claim_blocks), each taking whole blocks. The calling
-    thread allocates every thread's two uint64 block buffers (1 MiB) and
-    the counter steps they share (0.5 MiB) first, and the block math runs
-    in them and in the output with out=. So the working memory above the
-    output does not grow with the field, and none of it comes from
-    per-thread allocator arenas.
+    The blocks run on the threads transforms._thread_count grants the
+    field (see transforms._claim_blocks), each taking whole blocks. The
+    calling thread allocates every thread's two uint64 block buffers
+    (1 MiB) and the counter steps they share (0.5 MiB) first, and the
+    block math runs in them and in the output with out=. So the working
+    memory above the output does not grow with the field, and none of it
+    comes from per-thread allocator arenas.
 
     Parameters
     ----------
@@ -97,7 +96,7 @@ def standard_normal_field(seed, shape):
     base = operator.index(seed) & 0xFFFFFFFFFFFFFFFF
     block = 2 * _FIELD_BLOCK
     starts = range(0, out.size, block)
-    workers = _thread_count(len(starts)) if size >= _THREAD_VALUES else 1
+    workers = _thread_count(len(starts), size)
     # counter j of the block at start is start + j, so base + (start + j) *
     # gamma is (base + start * gamma) + j * gamma: the same modulo 2**64
     with np.errstate(over="ignore"):

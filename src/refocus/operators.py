@@ -11,9 +11,10 @@ All routines act on the last two axes, so stacks of images (for example
 color channels) pass through unchanged on the leading axes.
 
 The correlation multiplies once per tile for each mask weight that
-several taps share, and a large blur runs its tiles on the threads
-scipy.fft.get_workers() allows; the output bytes are the same as a sum
-of whole shifted slices at any thread count (see _correlate_valid).
+several taps share, and a large blur runs its tiles on threads by the
+one thread rule of transforms._thread_count; the output bytes are the
+same as a sum of whole shifted slices at any thread count (see
+_correlate_valid).
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ _TILE_BYTES = 256 * 1024
 # Scratch per thread of _correlate_valid for the products that several
 # taps of one weight share, beyond its tile and its one-tap product.
 _SHARE_BYTES = 2 * _TILE_BYTES
-# Blurs and noise fields of at least this many output values run on
-# threads; every blur and noise field of the experiment workloads (sides
-# up to 256, three channels up to 128) stays below it.
-_THREAD_VALUES = 2**18
 
 
 class BoundaryCondition(Enum):
@@ -178,10 +175,10 @@ def _correlate_valid(extended, weights, out_shape):
     weight, so its 69-tap 11x11 mask costs one multiply and 69 adds per
     tile instead of 69 of each.
 
-    Outputs of _THREAD_VALUES values or more are built on threads (see
-    transforms._claim_blocks): each takes whole tiles, with its own
-    scratch allocated here, so the bytes do not depend on the thread
-    count.
+    The tiles run on the threads transforms._thread_count grants the
+    output (see transforms._claim_blocks): each takes whole tiles, with
+    its own scratch allocated here, so the bytes do not depend on the
+    thread count.
     """
     n1, n2 = out_shape
     e1, e2 = extended.shape[-2:]
@@ -213,7 +210,7 @@ def _correlate_valid(extended, weights, out_shape):
     taps = [(shift, value, offsets[value] + shift if value in offsets else None)
             for shift, value in zip(shifts, values)]
     tiles = [(k0, r0) for k0 in range(0, count, images) for r0 in range(0, n1, strip)]
-    workers = _thread_count(len(tiles)) if out.size >= _THREAD_VALUES else 1
+    workers = _thread_count(len(tiles), out.size)
     lone = len(offsets) < len(groups)  # some taps multiply on their own
     scratch = np.empty((workers, end + lone * size))
 

@@ -63,8 +63,13 @@ class EigenGrid:
 
 def eigen_grid_reflective(mask, shape):
     """Eigenvalues of the reflective blur operator of the given shape."""
-    nodes = (np.arange(n) * np.pi / n for n in _check_shape(shape))
+    nodes = map(_cosine_nodes, _check_shape(shape))
     return EigenGrid(values=generating_function(mask, *nodes), algebra="dct3")
+
+
+def _cosine_nodes(n):
+    """The reflective (cosine) nodes s*pi/n, s = 0..n-1."""
+    return np.arange(n) * np.pi / n
 
 
 def _sine_nodes(m):

@@ -22,28 +22,29 @@ allocates its result and one block's buffers per thread, never an
 image-sized copy, and a two-level transform runs its second pass in
 place on the first pass's result.
 
-Threads. Where the sine part of a line is longer than the direct limit,
-so it takes the chirp-convolution path, W threads take the blocks one
-at a time until none is left. W is scipy.fft.get_workers(), at most
-half the number of blocks, so each thread gets two or more; the cosine
-kind passes the same W to the library DCT. Every block is transformed
-as it would be alone, so the result has the same bytes at any W. The
-blur and the noise field share this thread rule (_thread_count) and
-the claim-a-block loop (_claim_blocks), which live here once. The
-calling thread builds the plans and allocates every thread's buffers
-before the threads start, so the large buffers come from its heap, not
-from per-thread allocator arenas. The library calls inside a block run
-with one worker, so a caller's worker setting never multiplies the
-threads. Library calls stay on one thread, scipy's default; the command
-line runs each verb with one worker per CPU the process may run on.
-Every BLAS call whose bytes depend on the OpenBLAS thread count runs on
-one OpenBLAS thread (_one_blas_thread), which lives here with the other
-thread rules.
+Threads. One rule decides how many threads a pass runs on, for the
+transforms, the blur and the noise field alike (_thread_count): a pass
+of fewer than _THREAD_VALUES (2^18) values stays on one thread, and a
+larger one takes W = scipy.fft.get_workers() threads, at most half its
+blocks, so each thread gets two or more. The threads take the blocks
+one at a time until none is left (_claim_blocks); a transform pass
+walks 64-line blocks, and the cosine kind passes the same W to the
+library DCT. Every block is computed as it would be alone, so the
+result has the same bytes at any W. The calling thread builds the
+plans and allocates every thread's buffers before the threads start,
+so the large buffers come from its heap, not from per-thread allocator
+arenas. The library calls inside a block run with one worker, so a
+caller's worker setting never multiplies the threads. Library calls
+stay on one thread, scipy's default; the command line runs each verb
+with one worker per CPU the process may run on. Every BLAS call whose
+bytes depend on the OpenBLAS thread count runs on one OpenBLAS thread
+(_one_blas_thread), which lives here with the other thread rules.
 
 On a 2-core Xeon VM (medians of 21 calls), two threads take a two-level
 anti-reflective transform at 1024^2 from 161 to 91 ms and the cosine
-one from 31 to 18 ms. Below the limit threads do not pay: at 256^2 two
-threads made the anti-reflective pair 1.8x slower (4.1 to 7.5 ms).
+one from 31 to 18 ms; at 512^2 they take 28 to 20 ms and 6.5 to 3.5 ms.
+Smaller passes do not pay: at 256^2 two threads made the
+anti-reflective pair 1.8x slower (4.1 to 7.5 ms).
 """
 
 from __future__ import annotations
@@ -64,9 +65,12 @@ from scipy.fft import dct, dst, fft, get_workers, ifft, next_fast_len
 from .errors import InvalidParameterError, SizeGuardError, SizeMismatchError, _check_int
 
 # Above this length the type-I sine transform switches to the Bluestein
-# path; below it the direct library call is faster. Only passes over
-# lines longer than this run on threads (see the module docstring).
+# path; below it the direct library call is faster.
 _SINE_DIRECT_LIMIT = 512
+# Passes (transforms, blurs, noise fields) of at least this many values
+# run on threads; every pass of the experiment workloads (sides up to
+# 256, three channels up to 128) stays below it.
+_THREAD_VALUES = 2**18
 # Lines per block of the sine-family driver. A call allocates one block's
 # buffers once and reuses them: two real (64, m) arrays and, above the
 # direct limit, a complex (64, nfft) Bluestein scratch. That scratch is
@@ -227,13 +231,15 @@ _ROW_KERNELS = {
 }
 
 
-def _thread_count(blocks):
-    """Threads for a pass over independent blocks of work.
+def _thread_count(blocks, values):
+    """Threads for a pass of values output values over independent blocks.
 
-    scipy.fft.get_workers(), but at most half the blocks, so each thread
-    gets two or more. The transforms, the blur and the noise field share
-    this rule; each caller decides above which size a pass may use it.
+    One below _THREAD_VALUES; from there scipy.fft.get_workers(), but at
+    most half the blocks, so each thread gets two or more. The one thread
+    rule of the transforms, the blur and the noise field.
     """
+    if values < _THREAD_VALUES:
+        return 1
     return max(1, min(get_workers(), blocks // 2))
 
 
@@ -310,21 +316,6 @@ def _one_blas_thread():
             set_(count)
 
 
-def _workers(shape, axis, length):
-    """Threads for one pass along axis of an array of this shape.
-
-    length is what the sine transform of each line covers (the whole
-    line for the cosine kind). One thread up to the direct limit; above
-    it _thread_count of the pass's _ROW_BLOCK-line blocks.
-    """
-    if length <= _SINE_DIRECT_LIMIT:
-        return 1
-    lines = list(shape)
-    del lines[axis]
-    lines = lines or [1]
-    return _thread_count(math.prod(lines[:-1]) * -(-lines[-1] // _ROW_BLOCK))
-
-
 def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     """Apply one transform family along one axis of x.
 
@@ -332,11 +323,11 @@ def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     the library DCT. A sine-family kind walks _ROW_BLOCK lines at a time
     along axis: each block is gathered into a contiguous buffer,
     transformed there by the kind's row kernel and written into the
-    result. Above the direct limit _workers threads take blocks one at
-    a time until none is left (_claim_blocks). Each thread's
-    buffers and Bluestein scratch are allocated once per call, here, so
-    nothing image-sized is copied and no block allocates. in_place
-    overwrites x, which must then be a float64 array.
+    result. _thread_count threads take the blocks one at a time until
+    none is left (_claim_blocks). Each thread's buffers and Bluestein
+    scratch are allocated once per call, here, so nothing image-sized is
+    copied and no block allocates. in_place overwrites x, which must
+    then be a float64 array.
     """
     if not isinstance(kind, TransformKind):
         raise InvalidParameterError(f"unknown transform kind {kind!r}")
@@ -347,15 +338,16 @@ def _transform(x, kind, axis=-1, transposed=False, in_place=False):
     m = x.shape[axis]
     if m <= ramps:
         raise SizeMismatchError(f"{kind.value} transform needs length >= {ramps + 1}, got {m}")
-    workers = _workers(x.shape, axis, m - ramps)
+    src = np.atleast_2d(np.moveaxis(x, axis, -1))
+    rows = src.shape[-2]
+    workers = _thread_count(math.prod(src.shape[:-2]) * -(-rows // _ROW_BLOCK), x.size)
     if kernel is None:
         return dct(x, type=2 if transposed else 3, norm="ortho", axis=axis,
                    overwrite_x=in_place, workers=workers)
     out = x if in_place else np.empty(x.shape)
-    src, dest = (np.atleast_2d(np.moveaxis(a, axis, -1)) for a in (x, out))
-    rows = src.shape[-2]
+    dest = np.atleast_2d(np.moveaxis(out, axis, -1))
     lines = np.empty((workers, 2, min(rows, _ROW_BLOCK), m))
-    scratch = [None]
+    scratch = [None] * workers
     if m - ramps > _SINE_DIRECT_LIMIT:
         scratch = np.empty((workers, lines.shape[2], _SinePlan(m - ramps).nfft), dtype=complex)
     if ramps:

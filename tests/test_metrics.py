@@ -8,8 +8,8 @@ import scipy.fft
 import refocus as r
 from refocus import transforms
 from refocus.metrics import _FIELD_BLOCK, _GAMMA, _mix64
-from refocus.operators import _THREAD_VALUES
 from refocus.operators import BoundaryCondition as BC
+from refocus.transforms import _THREAD_VALUES
 
 from conftest import rough_image
 

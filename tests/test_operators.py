@@ -10,8 +10,9 @@ import scipy.signal
 import refocus as r
 from refocus import transforms
 from refocus.filtering import log_mu_grid, restore, sweep
-from refocus.operators import _SHARE_BYTES, _THREAD_VALUES, _TILE_BYTES, _correlate_valid
+from refocus.operators import _SHARE_BYTES, _TILE_BYTES, _correlate_valid
 from refocus.operators import BoundaryCondition as BC
+from refocus.transforms import _THREAD_VALUES
 
 from conftest import rough_image, smooth_image
 

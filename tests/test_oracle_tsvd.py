@@ -151,3 +151,49 @@ def test_tsvd_matches_dense_factor_svd(oracles, shape, mask, bc, color):
         # the curve point is the rre of our restore, whose error is bounded as above
         err = abs(curve.rres[k - 1] - ref_rre) * np.linalg.norm(f) / np.linalg.norm(ref)
         assert err <= BOUND * cond, f"sweep point k={k}: error {err:.3e}, conditioning {cond:.3e}"
+
+
+# Periodic and zero rules: tsvd decomposes the dense 1-D factors, and the
+# oracle is the SVD of the whole dense 2-D operator. The mask is
+# separable with asymmetric factors, which only these rules accept.
+# Periodic singular values come in pairs (|f(x)| = |f(-x)|), so a cut
+# must fall between separated values.
+ASYMMETRIC = r.mask_from_weights(np.outer([0.2, 0.5, 0.3], [0.1, 0.5, 0.25, 0.1, 0.05]))
+
+
+@pytest.mark.parametrize("color", [False, True], ids=["gray", "color"])
+@pytest.mark.parametrize("bc", [BC.PERIODIC, BC.ZERO], ids=lambda bc: bc.value)
+@pytest.mark.parametrize("shape", [(7, 9), (12, 11)], ids=["7x9", "12x11"])
+def test_tsvd_matches_dense_operator_svd_off_the_spectral_rules(shape, bc, color):
+    op, f, g, mixing = _problem(shape, ASYMMETRIC, bc, color, seed=sum(shape) + 2 * color)
+    u, s, vt = np.linalg.svd(r.assemble_dense(op))
+    m_cond = 1.0 if mixing is None else np.linalg.cond(mixing.matrix)
+    unmixed = g if mixing is None else np.tensordot(np.linalg.inv(mixing.matrix), g, 1)
+    coef = unmixed.reshape(-1, s.size) @ u
+    # cuts between clearly separated values: a subspace error of
+    # VECTOR_BOUND s[0] / gap stays well below the bound
+    gaps = s[:-1] - s[1:]
+    cuts = np.flatnonzero((gaps > 1e-4 * s[0]) & (s[:-1] > AMBIGUOUS[1])) + 1
+    assert cuts.size >= 4
+
+    def dense_restore(k):
+        image = ((coef[:, :k] / s[:k]) @ vt[:k]).reshape(g.shape)
+        oracle_error = VECTOR_BOUND * s[0] / gaps[k - 1]
+        return image, s[0] / s[k - 1] * m_cond * (1.0 + oracle_error / BOUND)
+
+    def check(err, cond, what):
+        assert err <= BOUND * cond, f"{what}: error {err:.3e}, conditioning {cond:.3e}"
+
+    k = int(cuts[cuts.size // 2])
+    ref, cond = dense_restore(k)
+    for spec in (r.TruncateByThreshold(0.5 * (s[k - 1] + s[k])), r.TruncateByCount(k)):
+        result = restore(g, op, "tsvd", spec, mixing)
+        assert result.count_kept == k and result.skipped_zero == 0
+        check(np.linalg.norm(result.image - ref) / np.linalg.norm(ref), cond, spec)
+
+    curve = sweep(g, op, "tsvd", f, mixing, max_terms=int(cuts[-1]))
+    for k in cuts:
+        ref, cond = dense_restore(k)
+        ref_rre = np.linalg.norm(ref - f) / np.linalg.norm(f)
+        err = abs(curve.rres[k - 1] - ref_rre) * np.linalg.norm(f) / np.linalg.norm(ref)
+        check(err, cond, f"sweep point k={k}")

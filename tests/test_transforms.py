@@ -9,7 +9,7 @@ import scipy.fft
 
 import refocus as r
 from refocus import transforms
-from refocus.transforms import TransformKind
+from refocus.transforms import _THREAD_VALUES, TransformKind
 
 from conftest import rough_image
 
@@ -361,7 +361,8 @@ def test_threads_leave_bytes_unchanged_on_every_axis(shape):
                 _assert_same_bytes(_at_workers(workers, r.apply_transform, x, kind, axis), ref)
 
 
-@pytest.mark.parametrize("shape", [(600, 1024), (3, 520, 516)])
+# 512 x 514 runs the direct sine path (lines of 510-512) on threads
+@pytest.mark.parametrize("shape", [(600, 1024), (3, 520, 516), (512, 514)])
 def test_threads_leave_two_level_bytes_unchanged(shape):
     # the second pass runs in place on the first pass's result
     x = r.standard_normal_field(5, shape)
@@ -387,7 +388,7 @@ def test_fast_switching_threads_take_each_block_once():
         sys.setswitchinterval(interval)
 
 
-def test_threads_start_only_above_the_direct_limit(monkeypatch):
+def test_threads_start_only_from_the_value_cutoff(monkeypatch):
     started = []
 
     class Counted(transforms.ThreadPoolExecutor):
@@ -395,24 +396,42 @@ def test_threads_start_only_above_the_direct_limit(monkeypatch):
             started.append(workers)
             super().__init__(workers)
 
+    def dct(*args, _real=transforms.dct, **kwargs):
+        if kwargs["workers"] > 1:  # the cosine kind threads inside the library
+            started.append(kwargs["workers"])
+        return _real(*args, **kwargs)
+
     monkeypatch.setattr(transforms, "ThreadPoolExecutor", Counted)
-    below = [
-        (np.ones((512, 512)), TransformKind.DST1),
-        (np.ones((512, 512)), TransformKind.DCT3),
-        (np.ones((514, 514)), TransformKind.AR),  # 512-long interiors
-        (np.ones((127, 1024)), TransformKind.AR_INVERSE),  # two blocks: one per thread
-    ]
-    for x, kind in below:
-        for axis in (0, 1):
-            _at_workers(3, r.apply_transform, x, kind, axis)
+    monkeypatch.setattr(transforms, "dct", dct)
+    assert 511 * 513 == _THREAD_VALUES - 1
+    # the experiment workloads' passes (gray sides up to 256, color up to
+    # 3 x 128^2), one value below the cutoff, and a chirp-path pass below it
+    for shape in [(256, 256), (3, 128, 128), (511, 513), (127, 1024)]:
+        x = np.ones(shape)
+        for kind in TransformKind:
+            for axis in (-2, -1):
+                _at_workers(3, r.apply_transform, x, kind, axis)
+    # above the cutoff, but two blocks: one per thread
+    _at_workers(3, r.ar_inverse_apply, np.ones((127, 2100)))
     assert started == []
     # the default of one worker never starts a thread
     r.two_level_apply(np.ones((1024, 1024)), TransformKind.AR)
+    r.two_level_apply(np.ones((1024, 1024)), TransformKind.DCT3)
     assert started == []
-    # each thread gets two blocks or more
-    _at_workers(3, r.dst1_apply, np.ones((255, 1024)))
+    # from the cutoff up, on the direct path too: min(3, blocks // 2), with
+    # 8 blocks of 64 lines at 512^2 and 9 at 514^2
+    for x, kind in [
+        (np.ones((512, 512)), TransformKind.DST1),
+        (np.ones((512, 512)), TransformKind.DCT3),
+        (np.ones((514, 514)), TransformKind.AR),  # 512-long interiors
+    ]:
+        for axis in (0, 1):
+            _at_workers(3, r.apply_transform, x, kind, axis)
+    assert started == [3] * 6
+    # each thread gets two blocks or more: 5 blocks, then 10
+    _at_workers(3, r.dst1_apply, np.ones((257, 1024)))
     _at_workers(3, r.ar_apply, np.ones((2, 257, 515)))
-    assert started == [2, 3]
+    assert started == [3] * 6 + [2, 3]
 
 
 def test_driver_alone_sets_library_workers(monkeypatch):

@@ -12,11 +12,13 @@ refocus.cli.main in a temporary directory:
   tikhonov by --mu;
 * one anti-reflective side above 514, so the sine transform of its
   interior takes the chirp-convolution path;
-* a gray image with both sides above 514, blurred and restored by tsd
-  and by Tikhonov under both spectral rules: every transform of its
-  restores is long enough to run on threads when the process may use
-  more than one CPU, so running this script pinned to one CPU (taskset
-  -c 0) and unpinned checks that threads leave the bytes unchanged;
+* a gray image with both sides above 514, and a 512 x 514 one, each
+  blurred and restored by tsd and by Tikhonov under both spectral
+  rules: every transform of their restores holds at least 2^18 values,
+  so it runs on threads when the process may use more than one CPU,
+  the 512 x 514 ones on the direct sine path (lines of 510-512). So
+  running this script pinned to one CPU (taskset -c 0) and unpinned
+  checks that threads leave the bytes unchanged;
 * noisy disk blurs of that gray image under all four rules, and a noisy
   color blur of a 3 x 520 x 516 image: each blur and noise field is
   above the size from which they run on threads;
@@ -74,6 +76,7 @@ def _inputs():
     # an anti-reflective interior of 514: one past the direct sine limit
     r.write_matrix("long.txt", r.low_frequency_scene((516, 7)))
     r.write_matrix("large.txt", r.low_frequency_scene((520, 516)))
+    r.write_matrix("band.txt", r.low_frequency_scene((512, 514)))
     r.write_image("large_color.ppm", r.low_frequency_scene_color((520, 516)), 65535)
     r.save_mask(r.gaussian_mask((2, 1), (1.3, 0.7)), MASK_FILE)
     return [
@@ -111,15 +114,16 @@ def _requests(inputs):
             requests.append(["restore", "--image", f"blur_{name}_reflective{suffix}",
                              "--out", f"threshold_tsvd_{name}{suffix}", "--method", "tsvd",
                              "--threshold", "0.05", "--psf", PSF, "--bc", "reflective"] + mix)
-    for bc in SPECTRAL:
-        common = ["--psf", PSF, "--bc", bc]
-        blurred = f"blur_large_{bc}.txt"
-        requests.append(["blur", "--image", "large.txt", "--out", blurred, "--rho", "0.01",
-                         "--seed", "3"] + common)
-        for method in ("tsd", "tikhonov"):
-            requests.append(["restore", "--image", blurred, "--out",
-                             f"restore_large_{bc}_{method}.txt", "--method", method]
-                            + FILTERS[method] + common)
+    for name in ("large", "band"):
+        for bc in SPECTRAL:
+            common = ["--psf", PSF, "--bc", bc]
+            blurred = f"blur_{name}_{bc}.txt"
+            requests.append(["blur", "--image", f"{name}.txt", "--out", blurred, "--rho",
+                             "0.01", "--seed", "3"] + common)
+            for method in ("tsd", "tikhonov"):
+                requests.append(["restore", "--image", blurred, "--out",
+                                 f"restore_{name}_{bc}_{method}.txt", "--method", method]
+                                + FILTERS[method] + common)
     for bc in RULES:
         requests.append(["blur", "--image", "large.txt", "--out", f"blur_large_disk_{bc}.txt",
                          "--psf", "disk:5:4.5", "--bc", bc, "--rho", "0.01", "--seed", "5"])
