@@ -43,8 +43,11 @@ bytes depend on the OpenBLAS thread count runs on one OpenBLAS thread
 On a 2-core Xeon VM (medians of 21 calls), two threads take a two-level
 anti-reflective transform at 1024^2 from 161 to 91 ms and the cosine
 one from 31 to 18 ms; at 512^2 they take 28 to 20 ms and 6.5 to 3.5 ms.
-Smaller passes do not pay: at 256^2 two threads made the
-anti-reflective pair 1.8x slower (4.1 to 7.5 ms).
+Below the cutoff, lines of 512 or less do not pay: at 256^2 two threads
+made the anti-reflective pair 1.8x slower (4.1 to 7.5 ms). Longer lines
+on the Bluestein path would: two threads took one anti-reflective pass
+along the long axis of 255x1024 from 14.7 to 12.1 ms. The rule keeps
+such passes on one thread, a loss no workload meets.
 """
 
 from __future__ import annotations

@@ -332,13 +332,18 @@ def _at_workers(workers, func, *args):
         return func(*args)
 
 
-# Thread counts: lines 255-257 make 4-5 blocks (at most 2 threads);
-# (2, 257, 515) along its last axis and (3, 600, 130) along its middle one
-# make 10 and 9 blocks (3 threads, spans crossing the leading axis). The
-# ramp interiors of 514 and 515 straddle the direct limit.
-@pytest.mark.parametrize("length", [514, 515, 1024])
-@pytest.mark.parametrize("lines", [255, 256, 257])
+# Thread counts, every pass from the value cutoff up: lines 255-257 of
+# the chirp path make 4-5 blocks (at most 2 threads), lines 511-513 make
+# 8-9 blocks (3 threads); the ramp interiors of 514 and 515 straddle the
+# direct limit. (2, 257, 515) along its last axis and (3, 600, 150) along
+# its middle one make 10 and 9 blocks (3 threads, spans crossing the
+# leading axis); (1030,) is one line on one thread.
+@pytest.mark.parametrize("lines, length", [
+    (255, 1029), (256, 1024), (257, 1024),
+    (511, 514), (511, 515), (512, 514), (512, 515), (513, 514), (513, 515),
+])
 def test_threads_leave_bytes_unchanged(lines, length):
+    assert lines * length >= _THREAD_VALUES
     x = r.standard_normal_field(lines + length, (lines, length))
     for kind in TransformKind:
         for axis, data in ((-1, x), (0, x.T)):
@@ -349,7 +354,7 @@ def test_threads_leave_bytes_unchanged(lines, length):
     _assert_same_bytes(_at_workers(2, r.dct3_apply, x, -1, True), ref)
 
 
-@pytest.mark.parametrize("shape", [(1030,), (2, 257, 515), (3, 600, 130)])
+@pytest.mark.parametrize("shape", [(1030,), (2, 257, 515), (3, 600, 150)])
 def test_threads_leave_bytes_unchanged_on_every_axis(shape):
     x = r.standard_normal_field(len(shape), shape)
     for axis in range(len(shape)):
