@@ -21,6 +21,7 @@ import numpy as np
 import scipy.fft
 
 from .color import cross_channel_blur
+from .errors import ConfigError
 from .experiment import (
     load_config,
     parse_mix_spec,
@@ -40,16 +41,24 @@ from .filtering import (
     save_curve_csv,
     sweep,
 )
-from .imageio import _MAXVALS, read_by_suffix, write_by_suffix
+from .imageio import _MAXVALS, _is_image, read_by_suffix, write_by_suffix
 from .metrics import NoiseSpec, add_noise
 from .operators import BlurOperator, BoundaryCondition
 
 _BC_NAMES = tuple(bc.value for bc in BoundaryCondition)
 
 
-def _prepare(args):
-    """Shared setup: load the image, build the operator and the mixing."""
+def _prepare(args, out=None):
+    """Shared setup: load the image, build the operator and the mixing.
+
+    out is the image or matrix file the verb writes, if any. An output
+    suffix it cannot write, or color data bound for a .txt matrix,
+    raises ConfigError before any filter work.
+    """
+    matrix_out = out is not None and not _is_image(out)
     image = read_by_suffix(args.image)
+    if matrix_out and image.ndim == 3:
+        raise ConfigError(f"cannot write color data to the matrix file {out}")
     mask = parse_psf_spec(args.psf)
     op = BlurOperator(mask, BoundaryCondition(args.bc), image.shape[-2:])
     mix = None if args.mix is None else parse_mix_spec(args.mix)
@@ -58,7 +67,7 @@ def _prepare(args):
 
 def _cmd_blur(args):
     noise = NoiseSpec(args.rho, args.seed)
-    image, op, mixing = _prepare(args)
+    image, op, mixing = _prepare(args, args.out)
     blurred = cross_channel_blur(image, mixing, op)
     del image  # free the input before noise and quantization allocate
     if noise.rho > 0:
@@ -69,7 +78,7 @@ def _cmd_blur(args):
 
 
 def _cmd_restore(args):
-    image, op, mixing = _prepare(args)
+    image, op, mixing = _prepare(args, args.out)
     # argparse lets exactly one setting through; restore rejects a method mismatch
     given = {TruncateByCount: args.count, TruncateByThreshold: args.threshold, Tikhonov: args.mu}
     spec = next(spec_type(value) for spec_type, value in given.items() if value is not None)

@@ -28,9 +28,9 @@ core.
 
 The core runs in a filter plan, one per (operator, basis): the
 eigenbasis, shared by tsd and tikhonov, or the singular bases of the
-separable factors, for tsvd. A plan holds the spectrum and the basis
-maps; it sorts the spectrum and builds the Gram border vectors only
-when a filter first needs them. `restore` and `sweep` build a plan per
+separable factors, for tsvd. A plan holds the spectrum, the basis
+maps and the Gram border vectors; it sorts the spectrum only when a
+filter first needs the order. `restore` and `sweep` build a plan per
 call. A run of many cases builds every plan it needs at once, before
 any work (_run_plans), and shares them between its Picard data, sweeps
 and restores; _sweep_restore sweeps one case and restores it at the
@@ -43,10 +43,12 @@ Under the reflective rule the DCT diagonalizes each symmetric factor,
 so its SVD is the cosine basis with the singular values |lambda| and
 the signs of lambda moved into the left vectors: the tsvd plan is the
 cosine two-level transform plus a per-axis permutation into descending
-|lambda|, with no dense matrix and no LAPACK call. Every other rule
-decomposes the dense 1-D factor matrices by LAPACK, once per distinct
-factor, on one BLAS thread, so the bytes do not depend on the BLAS
-thread count.
+|lambda|, with no dense matrix and no LAPACK call. Its spectrum keeps
+the signs, since dividing by lambda has the bytes of dividing the
+sign-flipped coefficient by |lambda|. Every other rule decomposes the
+dense 1-D factor matrices by LAPACK, once per distinct factor of the
+plan, on one BLAS thread, so the bytes do not depend on the BLAS thread
+count.
 
 Sweeps never synthesize an image. The error of a restoration is the
 norm of its coefficient difference from the reference's coefficients,
@@ -313,54 +315,47 @@ class _Plan:
     last two axes, so channel stacks pass through, and coordinates()
     gives an image's coefficients in the synthesis basis. borders is the
     Gram border form of the synthesis basis: None when it is orthonormal,
-    else one (c1, c2) pair of split border vectors. The spectral order
-    and the borders are computed on first use, so a restore never sorts
-    (count truncation selects, see _largest) and only sweeps build the
-    borders. A plan lives as long as the call or run that built it.
+    else one (c1, c2) pair of split border vectors. All five are set when
+    the plan is built; only the spectral order waits for its first use,
+    so a restore never sorts (count truncation selects, see _largest). A
+    plan lives as long as the call or run that built it.
 
-    The svd basis holds the factors' singular values in descending order
-    per axis, so lam[i, j] = s1[i] s2[j] and ties resolve in that order.
-    Under the reflective rule they come from the cosine spectrum
-    (_cosine_factor): coordinates is the cosine analysis permuted,
-    analysis also multiplies by the signs, and synthesis undoes the
-    permutation before the cosine synthesis. Otherwise they come from
-    LAPACK (_factor_svds); svds, a dict that the plans of one run share,
-    holds the decompositions already made.
+    The svd basis holds the factors' spectra in descending magnitude per
+    axis, so lam[i, j] = s1[i] s2[j] and ties resolve in that order.
+    Under the reflective rule they are the signed cosine eigenvalues
+    (_cosine_factor): analysis and coordinates are the cosine analysis
+    permuted, and synthesis undoes the permutation before the cosine
+    synthesis. Every filter reads lam through its magnitude or divides
+    by it, and a division by -s has the bytes of the negated quotient, so
+    keeping the sign in lam is the SVD with the sign in its left vectors.
+    Otherwise they are LAPACK's singular values (_factor_svds).
     """
 
-    def __init__(self, op, basis, svds=None):
+    def __init__(self, op, basis):
         self.op = op
+        # the cosine and singular bases are orthonormal: no Gram borders
+        self.borders = synthesis_gram(op.bc, op.shape) if basis == "eigen" else None
         if basis == "eigen":
             self.lam = eigen_grid_for(op).values
             self.analysis = self.coordinates = lambda x: spectral_analysis(x, op.bc)
             self.synthesis = lambda x: spectral_synthesis(x, op.bc)
         elif op.bc is BoundaryCondition.REFLECTIVE:
-            (p1, sign1, s1), (p2, sign2, s2) = (
+            (p1, l1), (p2, l2) = (
                 _cosine_factor(w, n) for w, n in zip(separable_factors(op.mask), op.shape)
             )
             back = [np.argsort(p) for p in (p1, p2)]
-            self.lam = np.multiply.outer(s1, s2)
-
-            def coordinates(x):
-                return _permuted(spectral_analysis(x, op.bc), p1, p2)
-
-            def analysis(x):
-                y = coordinates(x)
-                y *= sign1[:, None]
-                y *= sign2
-                return y
-
-            self.analysis, self.coordinates = analysis, coordinates
+            self.lam = np.multiply.outer(l1, l2)
+            self.analysis = self.coordinates = (
+                lambda x: _permuted(spectral_analysis(x, op.bc), p1, p2)
+            )
             self.synthesis = lambda x: spectral_synthesis(_permuted(x, *back), op.bc)
-            self.borders = None  # the cosine basis is orthonormal
         else:
-            (u1, s1, v1t), (u2, s2, v2t) = _factor_svds(op, {} if svds is None else svds)
+            (u1, s1, v1t), (u2, s2, v2t) = _factor_svds(op)
             self.lam = np.multiply.outer(s1, s2)
             pinned = _one_blas_thread()
             self.analysis = pinned(lambda x: u1.T @ x @ u2)
             self.synthesis = pinned(lambda x: v1t.T @ x @ v2t)
             self.coordinates = pinned(lambda x: v1t @ x @ v2t.T)
-            self.borders = None  # both singular bases are orthonormal
 
     @cached_property
     def order(self):
@@ -378,17 +373,6 @@ class _Plan:
         rank[self.order[:usable]] = np.arange(usable)
         return rank.reshape(self.lam.shape), usable
 
-    @cached_property
-    def borders(self):
-        """The Gram border vectors of the eigenbasis synthesis.
-
-        None where the basis is orthonormal on both axes, else one (c1, c2)
-        pair of (m, 2) arrays, the vectors c_b with
-        S^T S = I + sum_b (e_b c_b^T + c_b e_b^T) over the border indices
-        b = 0, m-1 of each axis (spectrum.synthesis_gram).
-        """
-        return synthesis_gram(self.op.bc, self.op.shape)
-
 
 def _cosine_factor(w, n):
     """The SVD of a reflective 1-D factor, read off its cosine eigenvalues.
@@ -396,12 +380,13 @@ def _cosine_factor(w, n):
     The DCT diagonalizes the factor, with eigenvalues lam_s = f(pi s / n),
     so its singular values are |lam| and its singular vectors the cosine
     columns, the left ones times sign(lam). Returns the stable
-    permutation p into descending |lam|, sign(lam[p]) with 0 -> +1, and
-    |lam[p]|.
+    permutation p into descending |lam| and the signed lam[p]: a plan
+    divides by lam itself, which moves each sign onto the singular value
+    and leaves the cosine analysis as it is.
     """
     lam = generating_function_1d(w, _cosine_nodes(n))
     p = np.argsort(-np.abs(lam), kind="stable")
-    return p, np.where(lam[p] < 0, -1.0, 1.0), np.abs(lam[p])
+    return p, lam[p]
 
 
 def _permuted(x, p1, p2):
@@ -409,16 +394,15 @@ def _permuted(x, p1, p2):
     return np.take(np.take(x, p1, axis=-2), p2, axis=-1)
 
 
-def _factor_svds(op, svds):
+def _factor_svds(op):
     """The SVD of each 1-D factor matrix of op, one LAPACK call per distinct factor.
 
-    svds maps (factor bytes, size, rule) to a decomposition already made;
-    new ones are added to it, so a dict shared by several plans serves
-    them all.
+    Bitwise equal factors, such as the two of a symmetric mask on a
+    square field, share one decomposition.
     """
-    out = []
+    svds, out = {}, []
     for w, n in zip(separable_factors(op.mask), op.shape):
-        key = (w.tobytes(), n, op.bc)
+        key = (w.tobytes(), n)
         if key not in svds:
             with _one_blas_thread():
                 svds[key] = np.linalg.svd(assemble_dense_1d(w, n, op.bc))
@@ -443,8 +427,7 @@ def _run_plans(ops, methods, mix):
     truncation method in methods cannot unmix.
     """
     bases = dict.fromkeys(["eigen"] + [_BASIS[method] for method in methods])
-    svds = {}
-    plans = {(key, basis): _Plan(op, basis, svds) for basis in bases for key, op in ops.items()}
+    plans = {(key, basis): _Plan(op, basis) for basis in bases for key, op in ops.items()}
     if mix is not None and set(methods) != {"tikhonov"}:
         _unmixing(mix.matrix)
     return {key: (plans[key, "eigen"], {m: plans[key, _BASIS[m]] for m in methods}) for key in ops}

@@ -46,10 +46,6 @@ class NoiseSpec:
         object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
 
 
-def _mix64(x):
-    return _mix64_in_place(x.copy(), np.empty_like(x))
-
-
 def _mix64_in_place(z, tmp):
     """The splitmix64 output mix of a uint64 array, in place; tmp is scratch."""
     for shift, factor in ((30, _MIX1), (27, _MIX2), (31, None)):

@@ -650,6 +650,34 @@ def test_cli_file_type_and_gray_mix_errors(tmp_path, capsys):
     assert "'.png'" in err and "grayscale" in err
 
 
+def test_cli_refuses_an_output_it_cannot_write_before_any_work(tmp_path, capsys, monkeypatch):
+    # blur and restore check --out first: a suffix no writer takes exits 2
+    # before the image is read, and color data bound for a .txt matrix
+    # exits 2 before the filter runs, each naming the output path
+    truth, color = tmp_path / "truth.txt", tmp_path / "color.ppm"
+    r.write_matrix(truth, r.low_frequency_scene((16, 16)))
+    r.write_image(color, r.low_frequency_scene_color((16, 16)), 255)
+    ran = []
+    for name in ("read_by_suffix", "cross_channel_blur", "restore"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, _real=real:
+                            ran.append(_name) or _real(*args))
+    common = ["--psf", "gaussian:1:0.9", "--bc", "reflective"]
+    setting = ["--method", "tsd", "--count", "3"]
+    for image, out, want, read in (
+        (truth, "o.png", "unsupported file type '.png'", []),
+        (color, "o.txt", "cannot write color data", ["read_by_suffix"]),
+    ):
+        for verb in (["blur"], ["restore"] + setting):
+            ran.clear()
+            argv = verb + ["--image", str(image), "--out", str(tmp_path / out)] + common
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert want in err and str(tmp_path / out) in err
+            assert ran == read, (verb, out)
+            assert not (tmp_path / out).exists()
+
+
 @pytest.mark.parametrize(
     "setting",
     ["method=tsd,tsd", "bc=reflective,reflective", "rho=0.01,0.010000001",

@@ -139,9 +139,10 @@ def test_svd_signs_change_no_output(gauss22, mix_matrix, monkeypatch):
     # a singular pair enters every output only through products holding
     # both u_k and v_k, and negating a float is exact, so flipping the
     # signs LAPACK chose moves no bit. The anti-reflective plan is the one
-    # that calls LAPACK (the reflective one folds the cosine signs itself,
-    # see test_reflective_tsvd_is_the_dense_svd); on the square field its
-    # two axes share one decomposition, so a flip lands on both at once
+    # that calls LAPACK (the reflective one keeps the cosine signs in its
+    # spectrum, see test_reflective_tsvd_is_the_dense_svd); on the square
+    # field its two axes share one decomposition, so a flip lands on both
+    # at once
     real_svd = np.linalg.svd
     rng = np.random.default_rng(3)
     cases = []
@@ -190,24 +191,20 @@ def test_tsvd_plans_decompose_each_distinct_factor_once(monkeypatch):
     for shape in ((256, 256), (40, 36)):
         plan = filtering._Plan(r.BlurOperator(unequal, BC.REFLECTIVE, shape), "svd")
         assert not calls and plan.borders is None
-    # plans of one run share their decompositions
-    ops = {bc: r.BlurOperator(equal, BC.ANTIREFLECTIVE, (30, 30)) for bc in "ab"}
-    ops["c"] = r.BlurOperator(equal, BC.REFLECTIVE, (30, 30))
-    filtering._run_plans(ops, ["tsvd"], None)
-    assert calls == [(30, 30)]
 
 
 def test_cosine_factor_keeps_ties_in_frequency_order(monkeypatch):
     # a spectrum with many exact |lam| ties and a zero: the permutation is
-    # descending |lam| with ties in frequency order, and the sign of 0 is +1
+    # descending |lam| with ties in frequency order, and the values keep
+    # their signs
     lam = np.resize([0.5, -1.0, 0.0, 1.0, -0.5, 0.25], 40)
     monkeypatch.setattr(filtering, "generating_function_1d", lambda w, x: lam[: x.size])
-    p, sign, s = filtering._cosine_factor(np.ones(1), 40)
+    p, values = filtering._cosine_factor(np.ones(1), 40)
+    s = np.abs(values)
     assert sorted(p) == list(range(40)) and np.all(np.diff(s) <= 0)
     ties = s[1:] == s[:-1]
     assert ties.sum() > 20 and np.all(p[1:][ties] > p[:-1][ties])
-    assert np.array_equal(s, np.abs(lam[p])) and np.array_equal(sign * s, lam[p] + 0.0)
-    assert np.all(sign[lam[p] == 0] == 1.0)
+    assert np.array_equal(values, lam[p])
 
 
 def test_reflective_tsvd_is_the_dense_svd(gauss22):

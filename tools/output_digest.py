@@ -22,6 +22,12 @@ refocus.cli.main in a temporary directory:
 * noisy disk blurs of that gray image under all four rules, and a noisy
   color blur of a 3 x 520 x 516 image: each blur and noise field is
   above the size from which they run on threads;
+* a gray 40 x 40 image and a 3 x 40 x 40 color one (with --mix),
+  blurred under the reflective rule by disk:2:3, a 5 x 5 box: a
+  separable mask whose symbol has negative lobes, so its cosine tsvd
+  spectrum holds negative values. Each is restored by tsvd with
+  --count 401, a cut that splits an exact (i, j) / (j, i) tie, and
+  with --threshold 0.05, and swept by tsvd over every count;
 * a mask file written by save_mask and read back through --psf
   file:<path>, in a blur and a restore under both spectral rules;
 * a disk blur, and a color restore, a tsd sweep and a Tikhonov sweep
@@ -55,6 +61,7 @@ import refocus as r
 from refocus.cli import main as refocus_main
 
 PSF = "gaussian:2:1.1"
+BOX = "disk:2:3"  # a 5 x 5 box: separable, with negative symbol lobes
 MASK_FILE = "mask.txt"
 MIX = "0.7,0.2,0.1,0.25,0.5,0.25,0.15,0.1,0.75"
 SPECTRAL = ("reflective", "antireflective")
@@ -78,6 +85,8 @@ def _inputs():
     r.write_matrix("large.txt", r.low_frequency_scene((520, 516)))
     r.write_matrix("band.txt", r.low_frequency_scene((512, 514)))
     r.write_image("large_color.ppm", r.low_frequency_scene_color((520, 516)), 65535)
+    r.write_matrix("box.txt", r.low_frequency_scene((40, 40)))
+    r.write_image("box_color.ppm", r.low_frequency_scene_color((40, 40)), 65535)
     r.save_mask(r.gaussian_mask((2, 1), (1.3, 0.7)), MASK_FILE)
     return [
         ("gray", "gray.txt", []),
@@ -130,6 +139,18 @@ def _requests(inputs):
     requests.append(["blur", "--image", "large_color.ppm", "--out", "blur_large_color.ppm",
                      "--psf", PSF, "--bc", "reflective", "--mix", MIX, "--rho", "0.01",
                      "--seed", "6", "--maxval", "65535"])
+    boxes = (("box", "box.txt", []), ("box_color", "box_color.ppm", ["--mix", MIX]))
+    for name, path, mix in boxes:
+        suffix = Path(path).suffix
+        common = ["--psf", BOX, "--bc", "reflective"] + mix
+        blurred = f"blur_{name}{suffix}"
+        requests.append(["blur", "--image", path, "--out", blurred, "--rho", "0.01", "--seed",
+                         "3", "--maxval", "65535"] + common)
+        data = ["--image", blurred, "--method", "tsvd"] + common
+        for tag, setting in (("count", "401"), ("threshold", "0.05")):
+            requests.append(["restore", "--out", f"restore_{name}_{tag}{suffix}", "--maxval",
+                             "65535", f"--{tag}", setting] + data)
+        requests.append(["sweep", "--out", f"sweep_{name}.csv", "--reference", path] + data)
     for bc in SPECTRAL:
         common = ["--psf", f"file:{MASK_FILE}", "--bc", bc]
         blurred = f"blur_file_{bc}.txt"
