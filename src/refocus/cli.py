@@ -51,10 +51,14 @@ _BC_NAMES = tuple(bc.value for bc in BoundaryCondition)
 def _prepare(args, out=None):
     """Shared setup: load the image, build the operator and the mixing.
 
-    out is the image or matrix file the verb writes, if any. An output
-    suffix it cannot write, or color data bound for a .txt matrix,
-    raises ConfigError before any filter work.
+    An output file (args.out) whose directory does not exist raises
+    ConfigError before the image is read. out is the image or matrix file
+    the verb writes, if any. An output suffix it cannot write, or color
+    data bound for a .txt matrix, raises ConfigError before any filter
+    work.
     """
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"no directory to write the output file {args.out} into")
     matrix_out = out is not None and not _is_image(out)
     image = read_by_suffix(args.image)
     if matrix_out and image.ndim == 3:

@@ -29,26 +29,30 @@ core.
 The core runs in a filter plan, one per (operator, basis): the
 eigenbasis, shared by tsd and tikhonov, or the singular bases of the
 separable factors, for tsvd. A plan holds the spectrum, the basis
-maps and the Gram border vectors; it sorts the spectrum only when a
-filter first needs the order. `restore` and `sweep` build a plan per
-call. A run of many cases builds every plan it needs at once, before
-any work (_run_plans), and shares them between its Picard data, sweeps
-and restores; _sweep_restore sweeps one case and restores it at the
-curve's optimum. So each method rule (the basis a method filters in,
-the spec a sweep optimum becomes, the methods that must unmix a mix)
-is written here once, and the experiment runner and the CLI only
-dispatch to this core.
+maps and the Gram border vectors. It names no boundary rule: every
+fact of a rule comes from the rule's basis record (spectrum._BASES).
+It sorts the spectrum only when a filter first needs the order.
+`restore` and `sweep` build a plan per call. A run of many cases
+builds every plan it needs at once, before any work (_run_plans), and
+shares them between its Picard data, sweeps and restores;
+_sweep_restore sweeps one case and restores it at the curve's optimum.
+So each method rule (the basis a method filters in, the spec a sweep
+optimum becomes, the methods that must unmix a mix) is written here
+once, and the experiment runner and the CLI only dispatch to this
+core.
 
-Under the reflective rule the DCT diagonalizes each symmetric factor,
-so its SVD is the cosine basis with the singular values |lambda| and
-the signs of lambda moved into the left vectors: the tsvd plan is the
-cosine two-level transform plus a per-axis permutation into descending
-|lambda|, with no dense matrix and no LAPACK call. Its spectrum keeps
-the signs, since dividing by lambda has the bytes of dividing the
-sign-flipped coefficient by |lambda|. Every other rule decomposes the
-dense 1-D factor matrices by LAPACK, once per distinct factor of the
-plan, on one BLAS thread, so the bytes do not depend on the BLAS thread
-count.
+A basis record that names a node rule has an orthonormal basis that
+diagonalizes each symmetric factor, whose eigenvalues lambda are the
+1-D symbol at those nodes. So the factor's SVD is that basis with the
+singular values |lambda| and the signs of lambda moved into the left
+vectors: the tsvd plan is the eigen plan's two-level transform plus a
+per-axis permutation into descending |lambda|, with no dense matrix
+and no LAPACK call. Its spectrum keeps the signs, since dividing by
+lambda has the bytes of dividing the sign-flipped coefficient by
+|lambda|. A rule without a node rule, or without a record, has its
+dense 1-D factor matrices decomposed by LAPACK, once per distinct
+factor of the plan, on one BLAS thread, so the bytes do not depend on
+the BLAS thread count.
 
 Sweeps never synthesize an image. The error of a restoration is the
 norm of its coefficient difference from the reference's coefficients,
@@ -56,8 +60,8 @@ weighted by the Gram matrix S^T S of the synthesis basis per axis. A
 basis is either orthonormal on both axes (cosine, singular), where that
 matrix is the identity, or ramp-bordered on both (anti-reflective),
 where it is the identity plus a term on the two border rows and columns
-of each axis, given once as split border vectors
-(spectrum.synthesis_gram). So a whole truncation curve costs one
+of each axis, given once as split border vectors (the gram of the
+rule's basis record). So a whole truncation curve costs one
 spectrum sort plus O(N) work, and each Tikhonov weight on a mu grid
 costs O(N).
 """
@@ -75,15 +79,14 @@ from .errors import (
     _check_finite, _check_int, _check_real,
 )
 from .imageio import _write_csv
-from .operators import BoundaryCondition, assemble_dense_1d
+from .operators import assemble_dense_1d
 from .psf import generating_function_1d, separable_factors
 from .spectrum import (
-    _cosine_nodes,
+    _BASES,
     eigen_grid_for,
     sort_spectrum,
     spectral_analysis,
     spectral_synthesis,
-    synthesis_gram,
 )
 from .transforms import _one_blas_thread
 
@@ -320,42 +323,47 @@ class _Plan:
     so a restore never sorts (count truncation selects, see _largest). A
     plan lives as long as the call or run that built it.
 
-    The svd basis holds the factors' spectra in descending magnitude per
-    axis, so lam[i, j] = s1[i] s2[j] and ties resolve in that order.
-    Under the reflective rule they are the signed cosine eigenvalues
-    (_cosine_factor): analysis and coordinates are the cosine analysis
-    permuted, and synthesis undoes the permutation before the cosine
-    synthesis. Every filter reads lam through its magnitude or divides
+    A plan is built on one of two paths. An svd plan whose rule has no
+    basis record, or a record that names no node rule, holds LAPACK's
+    singular values and vectors of the dense factor matrices
+    (_factor_svds). Every other plan runs on the record's transform
+    path, where analysis is coordinates, and the eigen plan and the svd
+    plan differ only in lam and in an optional per-axis permutation. The
+    eigen plan's lam is the eigen grid. The svd plan's holds each
+    factor's signed spectrum at the record's nodes, in descending
+    magnitude per axis (_factor_spectrum), so lam[i, j] = s1[i] s2[j]
+    and ties resolve in that order; its analysis permutes the
+    coefficients into that order and its synthesis undoes the
+    permutation. Every filter reads lam through its magnitude or divides
     by it, and a division by -s has the bytes of the negated quotient, so
     keeping the sign in lam is the SVD with the sign in its left vectors.
-    Otherwise they are LAPACK's singular values (_factor_svds).
     """
 
     def __init__(self, op, basis):
         self.op = op
-        # the cosine and singular bases are orthonormal: no Gram borders
-        self.borders = synthesis_gram(op.bc, op.shape) if basis == "eigen" else None
-        if basis == "eigen":
-            self.lam = eigen_grid_for(op).values
-            self.analysis = self.coordinates = lambda x: spectral_analysis(x, op.bc)
-            self.synthesis = lambda x: spectral_synthesis(x, op.bc)
-        elif op.bc is BoundaryCondition.REFLECTIVE:
-            (p1, l1), (p2, l2) = (
-                _cosine_factor(w, n) for w, n in zip(separable_factors(op.mask), op.shape)
-            )
-            back = [np.argsort(p) for p in (p1, p2)]
-            self.lam = np.multiply.outer(l1, l2)
-            self.analysis = self.coordinates = (
-                lambda x: _permuted(spectral_analysis(x, op.bc), p1, p2)
-            )
-            self.synthesis = lambda x: spectral_synthesis(_permuted(x, *back), op.bc)
-        else:
+        record = _BASES.get(op.bc)
+        if basis == "svd" and (record is None or record.nodes is None):
             (u1, s1, v1t), (u2, s2, v2t) = _factor_svds(op)
-            self.lam = np.multiply.outer(s1, s2)
+            self.lam, self.borders = np.multiply.outer(s1, s2), None
             pinned = _one_blas_thread()
             self.analysis = pinned(lambda x: u1.T @ x @ u2)
             self.synthesis = pinned(lambda x: v1t.T @ x @ v2t)
             self.coordinates = pinned(lambda x: v1t @ x @ v2t.T)
+        else:
+            if basis == "eigen":
+                self.lam, order, back = eigen_grid_for(op).values, None, None
+            else:
+                factors = zip(separable_factors(op.mask), op.shape)
+                (p1, l1), (p2, l2) = (_factor_spectrum(w, record.nodes(n)) for w, n in factors)
+                self.lam = np.multiply.outer(l1, l2)
+                order, back = (p1, p2), [np.argsort(p) for p in (p1, p2)]
+            # an svd plan gets here only by a node rule, whose basis has no Gram borders
+            gram = record.gram
+            self.borders = None if gram is None else tuple(gram(n) for n in op.shape)
+            self.analysis = self.coordinates = (
+                lambda x: _permuted(spectral_analysis(x, op.bc), order)
+            )
+            self.synthesis = lambda x: spectral_synthesis(_permuted(x, back), op.bc)
 
     @cached_property
     def order(self):
@@ -374,24 +382,25 @@ class _Plan:
         return rank.reshape(self.lam.shape), usable
 
 
-def _cosine_factor(w, n):
-    """The SVD of a reflective 1-D factor, read off its cosine eigenvalues.
+def _factor_spectrum(w, nodes):
+    """The SVD of a symmetric 1-D factor in an orthonormal basis, read off its symbol.
 
-    The DCT diagonalizes the factor, with eigenvalues lam_s = f(pi s / n),
-    so its singular values are |lam| and its singular vectors the cosine
-    columns, the left ones times sign(lam). Returns the stable
+    nodes are the basis record's nodes for the factor's size, where the
+    symbol gives the factor's eigenvalues lam in the order of the basis
+    columns. The singular values are |lam| and the singular vectors the
+    basis columns, the left ones times sign(lam). Returns the stable
     permutation p into descending |lam| and the signed lam[p]: a plan
     divides by lam itself, which moves each sign onto the singular value
-    and leaves the cosine analysis as it is.
+    and leaves the analysis as it is.
     """
-    lam = generating_function_1d(w, _cosine_nodes(n))
+    lam = generating_function_1d(w, nodes)
     p = np.argsort(-np.abs(lam), kind="stable")
     return p, lam[p]
 
 
-def _permuted(x, p1, p2):
-    """x with its last two axes reordered by p1 and p2."""
-    return np.take(np.take(x, p1, axis=-2), p2, axis=-1)
+def _permuted(x, perms):
+    """x with its last two axes reordered by the pair perms; x itself for None."""
+    return x if perms is None else np.take(np.take(x, perms[0], axis=-2), perms[1], axis=-1)
 
 
 def _factor_svds(op):

@@ -122,14 +122,17 @@ class _SpectralBasis(NamedTuple):
     analysis_transposed: bool
     synthesis: TransformKind
     gram: Callable | None  # m -> (m, 2) split Gram border columns; None if orthonormal
+    # n -> the 1-D nodes where a symmetric factor's symbol gives its
+    # eigenvalues in this orthonormal basis; None where it is not orthonormal
+    nodes: Callable | None
 
 
 _BASES = {
     BoundaryCondition.REFLECTIVE: _SpectralBasis(
-        eigen_grid_reflective, TransformKind.DCT3, True, TransformKind.DCT3, None
+        eigen_grid_reflective, TransformKind.DCT3, True, TransformKind.DCT3, None, _cosine_nodes
     ),
     BoundaryCondition.ANTIREFLECTIVE: _SpectralBasis(
-        eigen_grid_ar, TransformKind.AR_INVERSE, False, TransformKind.AR, ramp_gram
+        eigen_grid_ar, TransformKind.AR_INVERSE, False, TransformKind.AR, ramp_gram, None
     ),
 }
 
@@ -166,8 +169,7 @@ def eigen_from_first_column(op):
         )
     basis = np.zeros(op.shape)
     basis[0, 0] = 1.0
-    numer = two_level_apply(apply_blur(op, basis), TransformKind.DCT3, transposed=True)
-    denom = two_level_apply(basis, TransformKind.DCT3, transposed=True)
+    numer, denom = (spectral_analysis(x, op.bc) for x in (apply_blur(op, basis), basis))
     return EigenGrid(values=numer / denom, algebra="dct3")
 
 
@@ -190,17 +192,6 @@ def spectral_synthesis(x, bc):
 def synthesis_kind(bc):
     """TransformKind whose columns are the synthesis basis for bc."""
     return _basis(bc).synthesis
-
-
-def synthesis_gram(bc, shape):
-    """Off-identity parts of the synthesis Gram matrices S^T S, per axis.
-
-    None where the basis is orthonormal on both axes (reflective), else
-    one (c1, c2) pair: for each axis of shape, the (m, 2) split border
-    columns of E = S^T S - I (anti-reflective, see ramp_gram).
-    """
-    gram = _basis(bc).gram
-    return None if gram is None else tuple(gram(n) for n in shape)
 
 
 def sort_spectrum(grid):

@@ -202,8 +202,7 @@ def test_run_experiment_shares_one_plan_per_rule_and_basis(tmp_path, monkeypatch
     built = []
     init = filtering._Plan.__init__
     monkeypatch.setattr(filtering._Plan, "__init__",
-                        lambda plan, op, basis, *svds: built.append(basis)
-                        or init(plan, op, basis, *svds))
+                        lambda plan, op, basis: built.append(basis) or init(plan, op, basis))
     config = r.load_config(None, [
         "scene=sinusoids:14x14", "psf=gaussian:1:0.8", "bc=reflective,antireflective",
         "method=tsd,tsvd,tikhonov", "rho=0.001,0.01", f"out={tmp_path / 'x'}",
@@ -676,6 +675,26 @@ def test_cli_refuses_an_output_it_cannot_write_before_any_work(tmp_path, capsys,
             assert want in err and str(tmp_path / out) in err
             assert ran == read, (verb, out)
             assert not (tmp_path / out).exists()
+
+
+def test_cli_refuses_a_missing_output_directory_before_reading(tmp_path, capsys, monkeypatch):
+    # blur, restore and sweep check that --out names an existing directory
+    # before the image is read, so a mistyped directory costs no work
+    truth = tmp_path / "truth.txt"
+    r.write_matrix(truth, r.low_frequency_scene((16, 16)))
+    read, real = [], cli.read_by_suffix
+    monkeypatch.setattr(cli, "read_by_suffix", lambda path: read.append(path) or real(path))
+    common = ["--image", str(truth), "--psf", "gaussian:1:0.9", "--bc", "reflective"]
+    for verb, out in (
+        (["blur"], "o.txt"),
+        (["restore", "--method", "tsd", "--count", "3"], "o.txt"),
+        (["sweep", "--method", "tsd", "--reference", str(truth)], "o.csv"),
+    ):
+        path = tmp_path / "nodir" / out
+        assert main(verb + common + ["--out", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert read == [], verb
+    assert [p.name for p in tmp_path.iterdir()] == ["truth.txt"]
 
 
 @pytest.mark.parametrize(

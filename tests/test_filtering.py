@@ -199,7 +199,7 @@ def test_cosine_factor_keeps_ties_in_frequency_order(monkeypatch):
     # their signs
     lam = np.resize([0.5, -1.0, 0.0, 1.0, -0.5, 0.25], 40)
     monkeypatch.setattr(filtering, "generating_function_1d", lambda w, x: lam[: x.size])
-    p, values = filtering._cosine_factor(np.ones(1), 40)
+    p, values = filtering._factor_spectrum(np.ones(1), np.arange(40) * np.pi / 40)
     s = np.abs(values)
     assert sorted(p) == list(range(40)) and np.all(np.diff(s) <= 0)
     ties = s[1:] == s[:-1]

@@ -108,6 +108,25 @@ def test_eigen_from_first_column_matches_grid(gauss22, cross_mask):
         assert np.abs(colgrid.values - grid.values).max() <= 1e-11
 
 
+def test_node_rule_gives_the_factor_spectrum_of_each_orthonormal_basis():
+    # a record names a node rule exactly when its basis has no Gram
+    # borders, and at those nodes the 1-D symbol of a symmetric factor is
+    # the spectrum of the dense factor matrix, which an svd plan reads
+    assert all((b.nodes is None) == (b.gram is not None) for b in spectrum._BASES.values())
+    factors = [[0.25, 0.5, 0.25], [0.2] * 5, *r.separable_factors(r.gaussian_mask((5, 5), 1.2))]
+    checked = 0
+    for bc, basis in spectrum._BASES.items():
+        if basis.nodes is None:
+            continue
+        for w in factors:
+            for n in (5, 16, 33):
+                want = np.linalg.eigvalsh(r.assemble_dense_1d(w, n, bc))
+                got = np.sort(r.generating_function_1d(w, basis.nodes(n)))
+                assert np.abs(got - want).max() <= 1e-13, (bc, len(w), n)
+                checked += 1
+    assert checked == 12
+
+
 def test_eigen_grid_for_rejects_averaging_rules(gauss11):
     op = r.BlurOperator(gauss11, BC.PERIODIC, (6, 6))
     with pytest.raises(r.UnsupportedAlgebraError):

@@ -78,8 +78,8 @@ def test_ramp_gram_matches_dense_basis(m):
 
 
 def test_synthesis_gram_and_kind_per_rule():
-    assert spectrum.synthesis_gram(BC.REFLECTIVE, (5, 6)) is None
-    g1, g2 = spectrum.synthesis_gram(BC.ANTIREFLECTIVE, (5, 6))
+    assert spectrum._BASES[BC.REFLECTIVE].gram is None
+    g1, g2 = (spectrum._BASES[BC.ANTIREFLECTIVE].gram(n) for n in (5, 6))
     assert g1.shape == (5, 2) and g2.shape == (6, 2)
     assert r.synthesis_kind(BC.REFLECTIVE) is TransformKind.DCT3
     assert r.synthesis_kind(BC.ANTIREFLECTIVE) is TransformKind.AR

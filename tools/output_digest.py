@@ -10,6 +10,10 @@ refocus.cli.main in a temporary directory:
   every method, and a restore of every (method, setting flag) pair the
   restore verb accepts: tsd and tsvd by --count and by --threshold,
   tikhonov by --mu;
+* under the periodic and zero rules, which have no eigenbasis, tsvd
+  restores of the gray and the color blur by --count 90 and by
+  --threshold 0.05, and tsvd sweeps of them with --max-terms 60: the
+  plans that decompose the dense 1-D factor matrices;
 * one anti-reflective side above 514, so the sine transform of its
   interior takes the chirp-convolution path;
 * a gray image with both sides above 514, and a 512 x 514 one, each
@@ -108,14 +112,16 @@ def _requests(inputs):
             common = ["--psf", PSF, "--bc", bc] + mix
             requests.append(["blur", "--image", path, "--out", blurred, "--rho", "0.01",
                              "--seed", "3", "--maxval", "65535"] + common)
-            if bc not in SPECTRAL:
-                continue
-            for method in FILTERS:
+            # the averaging rules have no eigenbasis: tsvd alone, on dense factor SVDs
+            for method in FILTERS if bc in SPECTRAL else ["tsvd"]:
                 data = ["--image", blurred, "--method", method] + common
                 requests.append(["restore", "--out", f"restore_{name}_{bc}_{method}{suffix}",
                                  "--maxval", "65535"] + FILTERS[method] + data)
                 requests.append(["sweep", "--out", f"sweep_{name}_{bc}_{method}.csv",
                                  "--reference", path] + SWEEPS[method] + data)
+            if bc not in SPECTRAL:
+                requests.append(["restore", "--out", f"threshold_tsvd_{name}_{bc}{suffix}",
+                                 "--maxval", "65535", "--threshold", "0.05"] + data)
         requests.append(["restore", "--image", f"blur_{name}_antireflective{suffix}",
                          "--out", f"threshold_{name}{suffix}", "--method", "tsd",
                          "--threshold", "0.05", "--psf", PSF, "--bc", "antireflective"] + mix)
