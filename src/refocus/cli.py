@@ -51,12 +51,14 @@ _BC_NAMES = tuple(bc.value for bc in BoundaryCondition)
 def _prepare(args, out=None):
     """Shared setup: load the image, build the operator and the mixing.
 
-    An output file (args.out) whose directory does not exist raises
-    ConfigError before the image is read. out is the image or matrix file
-    the verb writes, if any. An output suffix it cannot write, or color
-    data bound for a .txt matrix, raises ConfigError before any filter
-    work.
+    An output file (args.out) that names a directory, or whose directory
+    does not exist, raises ConfigError before the image is read. out is
+    the image or matrix file the verb writes, if any. An output suffix it
+    cannot write, or color data bound for a .txt matrix, raises
+    ConfigError before any filter work.
     """
+    if os.path.isdir(args.out):
+        raise ConfigError(f"the output file {args.out} is a directory")
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"no directory to write the output file {args.out} into")
     matrix_out = out is not None and not _is_image(out)
@@ -112,8 +114,7 @@ def _cmd_experiment(args):
     overrides = list(args.set)
     if args.out is not None:
         overrides.append(f"out={args.out}")
-    config = load_config(args.config, overrides)
-    out = run_experiment(config)
+    out = run_experiment(load_config(args.config, overrides))
     print(f"wrote {out / 'summary.csv'}")
     return 0
 

@@ -64,6 +64,17 @@ of each axis, given once as split border vectors (the gram of the
 rule's basis record). So a whole truncation curve costs one
 spectrum sort plus O(N) work, and each Tikhonov weight on a mu grid
 costs O(N).
+
+One inner-product rule: every norm and dot, of the noise scale and rre
+(metrics), of a sweep's reference and of the Gram forms, is _dot, a
+fixed-order einsum sum that makes no BLAS call. So its bytes depend on
+no BLAS thread count or build, and on a 2-core Xeon VM it costs about
+what a BLAS dot on one thread does: 0.44 against 0.34 ms at 1M values.
+BLAS runs only for matrix products, and the large ones run on one
+OpenBLAS thread (transforms._one_blas_thread); here those are the dense
+factor SVDs, the dense plan's maps and the three anti-reflective Gram
+border products of a Tikhonov sweep. Noise, rre, tsd sweeps and
+reflective Tikhonov sweeps need no pin once their plans are built.
 """
 
 from __future__ import annotations
@@ -83,6 +94,7 @@ from .operators import assemble_dense_1d
 from .psf import generating_function_1d, separable_factors
 from .spectrum import (
     _BASES,
+    _magnitude_order,
     eigen_grid_for,
     sort_spectrum,
     spectral_analysis,
@@ -358,8 +370,7 @@ class _Plan:
                 self.lam = np.multiply.outer(l1, l2)
                 order, back = (p1, p2), [np.argsort(p) for p in (p1, p2)]
             # an svd plan gets here only by a node rule, whose basis has no Gram borders
-            gram = record.gram
-            self.borders = None if gram is None else tuple(gram(n) for n in op.shape)
+            self.borders = None if record.gram is None else tuple(map(record.gram, op.shape))
             self.analysis = self.coordinates = (
                 lambda x: _permuted(spectral_analysis(x, op.bc), order)
             )
@@ -389,12 +400,13 @@ def _factor_spectrum(w, nodes):
     symbol gives the factor's eigenvalues lam in the order of the basis
     columns. The singular values are |lam| and the singular vectors the
     basis columns, the left ones times sign(lam). Returns the stable
-    permutation p into descending |lam| and the signed lam[p]: a plan
-    divides by lam itself, which moves each sign onto the singular value
-    and leaves the analysis as it is.
+    permutation p into descending |lam|, by the spectral-order rule of
+    sort_spectrum, and the signed lam[p]: a plan divides by lam itself,
+    which moves each sign onto the singular value and leaves the
+    analysis as it is.
     """
     lam = generating_function_1d(w, nodes)
-    p = np.argsort(-np.abs(lam), kind="stable")
+    p = _magnitude_order(lam)
     return p, lam[p]
 
 
@@ -566,21 +578,35 @@ def _gram_norm_sq(y, borders):
     """sum over channels of <Y, G1 Y G2>: the squared norm of S1 Y S2^T.
 
     The same form as _gram_pairs, contracted with a few thin products,
-    so it costs O(N) per call with no transform.
+    so it costs O(N) per call with no transform. The three border
+    products are BLAS matrix products, pinned to one thread; every inner
+    product is _dot.
     """
     y = y.reshape((-1,) + y.shape[-2:])
-    total = np.vdot(y, y)
+    total = _dot(y, y)
     if borders is None:
         return total
     c1, c2 = borders
     ends = [0, -1]
-    u1, v2 = c1.T @ y, y @ c2
-    total += 2.0 * np.vdot(y[:, ends, :], u1)
-    total += 2.0 * np.vdot(y[:, :, ends], v2)
-    total += 2.0 * (
-        np.vdot(y[:, ends][:, :, ends], u1 @ c2) + np.vdot(u1[:, :, ends], v2[:, ends, :])
-    )
+    with _one_blas_thread():
+        u1, v2 = c1.T @ y, y @ c2
+        u12 = u1 @ c2
+    total += 2.0 * _dot(y[:, ends, :], u1)
+    total += 2.0 * _dot(y[:, :, ends], v2)
+    total += 2.0 * (_dot(y[:, ends][:, :, ends], u12) + _dot(u1[:, :, ends], v2[:, ends, :]))
     return total
+
+
+def _dot(a, b):
+    """The inner product of a and b over all their entries, with no BLAS call.
+
+    einsum without optimize sums in a fixed order of its own, so the
+    bytes depend neither on the BLAS thread count nor on the BLAS build.
+    ravel copies a strided view, which einsum would otherwise read in
+    another order; a contiguous array at any alignment gives the same
+    bytes as a fresh copy of it.
+    """
+    return np.einsum("i,i->", np.ravel(a), np.ravel(b))
 
 
 def _channel_dot(a, b):
@@ -656,8 +682,7 @@ def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
     """sweep in a plan already built for method's basis."""
     g, matrix = _channel_stack(g, plan.op, mixing)
     f_true, _ = _channel_stack(f_true, plan.op, mixing, "reference")
-    with _one_blas_thread():
-        true_norm = np.linalg.norm(f_true)
+    true_norm = np.sqrt(_dot(f_true, f_true))
     if not true_norm > 0:
         raise InvalidParameterError("reference image must be nonzero")
     max_terms = _check_max_terms(max_terms)
@@ -666,10 +691,8 @@ def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
     coef = plan.analysis(g)
     target = plan.coordinates(f_true)
     if method == "tikhonov":
-        damped = _tikhonov(coef, plan.lam, matrix)
-        params = mu_grid
-        with _one_blas_thread():
-            err_sq = np.array([_gram_norm_sq(damped(mu) - target, plan.borders) for mu in mu_grid])
+        damped, params = _tikhonov(coef, plan.lam, matrix), mu_grid
+        err_sq = np.array([_gram_norm_sq(damped(mu) - target, plan.borders) for mu in mu_grid])
     else:
         err_sq = _truncation_errors(_mix(_unmixing(matrix), coef), plan, target, max_terms)
         params = np.arange(1, err_sq.size + 1)

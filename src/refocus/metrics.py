@@ -18,9 +18,9 @@ import numpy as np
 from .errors import (
     InvalidParameterError, SizeMismatchError, _check_finite, _check_int, _check_real
 )
-from .filtering import _check_data, _Plan
+from .filtering import _check_data, _dot, _Plan
 from .imageio import _write_csv
-from .transforms import _claim_blocks, _one_blas_thread, _thread_count
+from .transforms import _claim_blocks, _thread_count
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -159,8 +159,7 @@ def add_noise(g, spec):
     if spec.rho == 0:
         return g.copy(), math.inf
     nu = standard_normal_field(spec.seed, g.shape)
-    with _one_blas_thread():
-        scale = spec.rho * np.linalg.norm(g.ravel()) / np.linalg.norm(nu.ravel())
+    scale = spec.rho * np.sqrt(_dot(g, g)) / np.sqrt(_dot(nu, nu))
     # bitwise g + scale * nu: IEEE products and sums commute
     nu *= scale
     nu += g
@@ -180,11 +179,11 @@ def rre(estimate, reference):
         )
     _check_finite(estimate, "estimate")
     _check_finite(reference, "reference")
-    with _one_blas_thread():
-        denom = np.linalg.norm(reference.ravel())
-        if denom == 0:
-            raise InvalidParameterError("reference image has zero norm")
-        return float(np.linalg.norm((estimate - reference).ravel()) / denom)
+    denom = np.sqrt(_dot(reference, reference))
+    if denom == 0:
+        raise InvalidParameterError("reference image has zero norm")
+    diff = estimate - reference
+    return float(np.sqrt(_dot(diff, diff)) / denom)
 
 
 def picard_data(g, op):

@@ -208,8 +208,16 @@ def sort_spectrum(grid):
     .5 keeps {0, 1, 2}.
     """
     values = grid.values if isinstance(grid, EigenGrid) else grid
-    magnitudes = np.abs(np.asarray(values)).ravel()
-    return np.argsort(-magnitudes, kind="stable")
+    return _magnitude_order(np.ravel(values))
+
+
+def _magnitude_order(values):
+    """The one spectral-order rule: 1-D indices by non-increasing magnitude.
+
+    A stable sort, so ties keep index order. sort_spectrum ranks a whole
+    spectrum by it, and a tsvd plan each separable factor's spectrum.
+    """
+    return np.argsort(-np.abs(values), kind="stable")
 
 
 def save_eigen_csv(grid, path):

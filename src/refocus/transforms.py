@@ -36,9 +36,15 @@ so the large buffers come from its heap, not from per-thread allocator
 arenas. The library calls inside a block run with one worker, so a
 caller's worker setting never multiplies the threads. Library calls
 stay on one thread, scipy's default; the command line runs each verb
-with one worker per CPU the process may run on. Every BLAS call whose
-bytes depend on the OpenBLAS thread count runs on one OpenBLAS thread
-(_one_blas_thread), which lives here with the other thread rules.
+with one worker per CPU the process may run on. BLAS runs only for
+matrix products, and the large ones run on one OpenBLAS thread
+(_one_blas_thread), which lives here with the other thread rules. There
+are four: the symbol product behind every eigenvalue grid
+(psf.generating_function), the dense factor SVDs of a tsvd plan and
+that plan's maps, and the anti-reflective Gram border products of a
+Tikhonov sweep. The rest are small: a C x C channel mix or solve, and
+a factor's 1-D symbol (nodes by mask taps). Norms and dots make no BLAS
+call (filtering._dot).
 
 On a 2-core Xeon VM (medians of 21 calls), two threads take a two-level
 anti-reflective transform at 1024^2 from 161 to 91 ms and the cosine
@@ -299,11 +305,21 @@ _BLAS_PIN = threading.RLock()
 def _one_blas_thread():
     """Run the block, or decorated function, on one OpenBLAS thread.
 
-    On two threads OpenBLAS splits an SVD, a dot product of more than
-    10,000 values and a large matrix product differently than on one,
-    with other last bits, so each such call whose result reaches an
-    output runs here. The count is process-wide: one lock covers the
-    whole block, and the caller's count comes back afterwards.
+    BLAS runs only for matrix products, and the four large ones run
+    here: the symbol product of psf.generating_function, the dense factor
+    SVDs (filtering._factor_svds), the dense plan's maps, and the three
+    anti-reflective Gram border products of filtering._gram_norm_sq. On
+    two threads OpenBLAS splits an SVD or a large matrix product
+    differently than on one, with other last bits; at 1024 x 1027 the
+    border product y @ c2 did. They keep BLAS because a BLAS-free form is
+    slower: on a 2-core Xeon VM the symbol product at 1024 x 1020 took
+    2.5 ms by einsum and 0.9 ms pinned. The small products, a 3 x 3
+    channel mix of a 3 x 1024 x 1027 stack and a 1-D symbol at 4096
+    nodes, gave the same bytes on one and two threads. Norms and dots
+    need no BLAS: filtering._dot sums in a fixed order of its own. The
+    count is process-wide: one lock covers the whole block, and the
+    caller's count comes back afterwards. A numpy built on another BLAS
+    is not pinned.
     """
     threads = _blas_threads()
     if threads is None:

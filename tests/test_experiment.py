@@ -697,6 +697,31 @@ def test_cli_refuses_a_missing_output_directory_before_reading(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["truth.txt"]
 
 
+def test_cli_refuses_an_output_directory_before_any_work(tmp_path, capsys, monkeypatch):
+    # an --out that names an existing directory exits 2 with a refocus
+    # message before the image is read, so no blur, filter or sweep runs
+    truth = tmp_path / "truth.txt"
+    r.write_matrix(truth, r.low_frequency_scene((16, 16)))
+    ran = []
+    for name in ("read_by_suffix", "cross_channel_blur", "restore", "sweep"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, _real=real:
+                            ran.append(_name) or _real(*args))
+    common = ["--image", str(truth), "--psf", "gaussian:1:0.9", "--bc", "reflective"]
+    for verb, out in (
+        (["blur"], "blur.txt"),
+        (["restore", "--method", "tsd", "--count", "3"], "restore.txt"),
+        (["sweep", "--method", "tsd", "--reference", str(truth)], "sweep.csv"),
+        (["sweep", "--method", "tsd", "--reference", str(truth)], "outdir/"),
+    ):
+        (tmp_path / out).mkdir()
+        arg = f"{tmp_path}{os.sep}{out}"
+        assert main(verb + common + ["--out", arg]) == 2
+        assert f"error: the output file {arg} is a directory" in capsys.readouterr().err
+        assert ran == [], verb
+        assert list((tmp_path / out).iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "setting",
     ["method=tsd,tsd", "bc=reflective,reflective", "rho=0.01,0.010000001",

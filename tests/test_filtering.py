@@ -480,3 +480,65 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(gauss22, mix_matrix):
     finally:
         set_(outer)
     assert runs[0] == runs[1]
+
+
+def test_bytes_without_a_blas_pin_do_not_depend_on_the_blas_thread_count(
+    gauss22, mix_matrix, monkeypatch
+):
+    # norms and dots make no BLAS call, and noise, rre, tsd sweeps and
+    # reflective Tikhonov sweeps run no matrix product once their plans are
+    # built: with every pin a no-op, their bytes are the same on one
+    # OpenBLAS thread and on two
+    threads = transforms._blas_threads()
+    if threads is None:
+        pytest.skip("numpy has no scipy-openblas thread functions here")
+    get, set_ = threads
+    outer = get()
+    f = rough_image((520, 516))
+    color = np.stack([f, f[::-1], 0.5 * f])
+    data, sweeps = [], []
+    for bc in (BC.REFLECTIVE, BC.ANTIREFLECTIVE):
+        op = r.BlurOperator(gauss22, bc, f.shape)
+        plan = filtering._Plan(op, "eigen")
+        methods = ("tsd", "tikhonov") if bc is BC.REFLECTIVE else ("tsd",)
+        for g, ref, mix in ((r.apply_blur(op, f), f, None),
+                            (r.cross_channel_blur(color, mix_matrix, op), color, mix_matrix)):
+            data.append(g)
+            sweeps += [(g, plan, method, ref, mix) for method in methods]
+    monkeypatch.setattr(transforms, "_blas_threads", lambda: None)
+
+    def outputs():
+        outs = []
+        for g in data:
+            noisy, _snr = r.add_noise(g, r.NoiseSpec(0.01, 3))
+            outs += [noisy, np.float64(r.rre(noisy, g))]
+        for g, plan, method, ref, mix in sweeps:
+            outs.append(filtering._sweep(g, plan, method, ref, mix, None, [1e-4, 1e-2, 1.0]).rres)
+        return [a.tobytes() for a in outs]
+
+    try:
+        runs = []
+        for count in (1, 2):
+            set_(count)
+            runs.append(outputs())
+            assert get() == count
+    finally:
+        set_(outer)
+    assert runs[0] == runs[1]
+
+
+def test_dot_bytes_do_not_depend_on_alignment_or_strides():
+    # a contiguous view at any element offset sums as a fresh copy does;
+    # a strided view is copied first, since read in place it sums in
+    # another order
+    x = r.standard_normal_field(4, 100_003)
+    y = r.standard_normal_field(5, x.size)
+    want = filtering._dot(x.copy(), y.copy()).tobytes()
+    buffers = np.empty((2, x.size + 8))
+    for offset in range(1, 8):
+        a, b = buffers[0, offset : offset + x.size], buffers[1, 8 - offset : 8 - offset + x.size]
+        a[...], b[...] = x, y
+        assert filtering._dot(a, b).tobytes() == want, offset
+    strided = np.empty((2, 3 * x.size))
+    strided[0, : 2 * x.size : 2], strided[1, ::3] = x, y
+    assert filtering._dot(strided[0, : 2 * x.size : 2], strided[1, ::3]).tobytes() == want

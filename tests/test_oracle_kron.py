@@ -6,10 +6,9 @@ factors blurs a 515 x 520 field, whose anti-reflective sine transforms
 take the chirp-convolution path, and a 512 x 514 one, whose lines (at
 most 512 long) take the direct path; every pass at both sizes holds
 2^18 values or more, so it runs on threads. Both rules run at both
-sizes on gray data, and the reflective rule at 512 x 514 on color data
-under a random row-stochastic M. Anti-reflective color data is left
-out at these sizes: its restores cost seconds per case, and every
-output here is made twice.
+sizes on gray data, and on color data under a random row-stochastic M
+the anti-reflective rule at 515 x 520 and the reflective rule at
+512 x 514.
 
 For a separable mask the operator is A1 (x) A2: it maps X to
 A1 X A2^T, with A_j = assemble_dense_1d of the factors. The oracle is
@@ -99,11 +98,12 @@ def _outputs(g, op, f, mixing, count, delta):
 
 @pytest.mark.parametrize("case, bc, color", [
     ("515x520", BC.ANTIREFLECTIVE, False),
+    ("515x520", BC.ANTIREFLECTIVE, True),
     ("515x520", BC.REFLECTIVE, False),
     ("512x514", BC.ANTIREFLECTIVE, False),
     ("512x514", BC.REFLECTIVE, True),
-], ids=["515x520-antireflective-gray", "515x520-reflective-gray",
-        "512x514-antireflective-gray", "512x514-reflective-color"])
+], ids=["515x520-antireflective-gray", "515x520-antireflective-color",
+        "515x520-reflective-gray", "512x514-antireflective-gray", "512x514-reflective-color"])
 def test_eigen_filters_match_kronecker_oracle(case, bc, color):
     shape, mask = CASES[case]
     op, f, g, mixing = _problem(shape, mask, bc, color, seed=sum(shape) + 2 * color)
