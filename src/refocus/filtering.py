@@ -303,21 +303,27 @@ def _largest(magnitudes, k):
 
 
 def _keep_mask(plan, spec):
-    """Boolean mask of retained indices plus skipped-zero count."""
+    """The indices a truncation spec keeps: (keep, kept, skipped).
+
+    keep is the boolean mask of retained indices, kept its number of
+    True entries and skipped the number of requested indices that fell
+    on zero spectral values (below ZERO_SPECTRUM_TOL); both counts are
+    Python ints.
+    """
+    magnitudes = np.abs(plan.lam)
     if isinstance(spec, TruncateByThreshold):
-        magnitudes = np.abs(plan.lam)
         keep = _usable(magnitudes, spec.delta)
+        kept = int(np.count_nonzero(keep))
         if spec.delta >= ZERO_SPECTRUM_TOL:
-            return keep, 0
-        return keep, int(np.count_nonzero(magnitudes >= spec.delta) - np.count_nonzero(keep))
+            return keep, kept, 0
+        return keep, kept, int(np.count_nonzero(magnitudes >= spec.delta)) - kept
     if isinstance(spec, TruncateByCount):
         if spec.k > plan.lam.size:
             raise InvalidParameterError(
                 f"count {spec.k} exceeds spectrum size {plan.lam.size}"
             )
-        magnitudes = np.abs(plan.lam)
         kept = min(spec.k, int(np.count_nonzero(_usable(magnitudes))))
-        return _largest(magnitudes, kept), spec.k - kept
+        return _largest(magnitudes, kept), kept, spec.k - kept
     raise InvalidParameterError(f"not a truncation spec: {spec!r}")
 
 
@@ -380,17 +386,6 @@ class _Plan:
     def order(self):
         """Flat indices in spectral order: the one stable sort of lam."""
         return sort_spectrum(self.lam)
-
-    def rank(self):
-        """Each index's position in spectral order, and the usable count.
-
-        Indices whose spectral value is below ZERO_SPECTRUM_TOL are never
-        kept; their rank is the usable count itself.
-        """
-        usable = int(np.count_nonzero(_usable(np.abs(self.lam))))
-        rank = np.full(self.lam.size, usable)
-        rank[self.order[:usable]] = np.arange(usable)
-        return rank.reshape(self.lam.shape), usable
 
 
 def _factor_spectrum(w, nodes):
@@ -475,12 +470,11 @@ def _restore(g, plan, method, spec, mixing):
         fhat = _tikhonov(plan.analysis(stack), plan.lam, matrix)(spec.mu)
         parameter, kept, skipped = spec.mu, plan.lam.size, 0
     else:
-        keep, skipped = _keep_mask(plan, spec)
+        keep, kept, skipped = _keep_mask(plan, spec)
         coef = _mix(_unmixing(matrix), plan.analysis(stack))
         fhat = np.zeros_like(coef)
         np.divide(coef, plan.lam, out=fhat, where=keep)
         parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
-        kept = int(keep.sum())
     return RestorationResult(
         image=plan.synthesis(fhat).reshape(np.shape(g)),
         method=method,
@@ -630,8 +624,15 @@ def _truncation_errors(coef, plan, target, max_terms):
     events on the step axis; the P.P and P.S parts accumulate forward
     and the S.S parts backward, so no sum cancels down to a noiseless
     tail.
+
+    Each index's rank is its position in spectral order; an index whose
+    spectral value is below ZERO_SPECTRUM_TOL is never kept, and its
+    rank is the usable count itself.
     """
-    rank, size = plan.rank()
+    size = int(np.count_nonzero(_usable(np.abs(plan.lam))))
+    rank = np.full(plan.lam.size, size)
+    rank[plan.order[:size]] = np.arange(size)
+    rank = rank.reshape(plan.lam.shape)
     total = size if max_terms is None else min(size, max_terms)
     target = target.reshape((-1,) + rank.shape)
     resid = np.zeros_like(target)

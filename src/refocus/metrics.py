@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (
     InvalidParameterError, SizeMismatchError, _check_finite, _check_int, _check_real
 )
-from .filtering import _check_data, _dot, _Plan
+from .filtering import _channel_dot, _check_data, _dot, _Plan
 from .imageio import _write_csv
 from .transforms import _claim_blocks, _thread_count
 
@@ -219,7 +219,7 @@ def _picard_data(g, plan):
     """picard_data in an eigenbasis plan already built for the operator."""
     # the data as observed: gray or three color channels, no mixing step
     ghat = plan.analysis(_check_data(g, plan.op, [1, 3]))
-    coef = np.sqrt((ghat**2).sum(axis=0)).ravel()
+    coef = np.sqrt(_channel_dot(ghat, ghat)).ravel()
     return np.abs(plan.lam).ravel()[plan.order], coef[plan.order]
 
 

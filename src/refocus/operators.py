@@ -31,7 +31,7 @@ from .errors import (
 from .psf import PsfMask, _check_mask_1d, require_strong_symmetry
 from .transforms import _claim_blocks, _thread_count
 
-_DENSE_LIMIT = 20000
+_MAX_DENSE_PIXELS = 20000
 _ASSEMBLE_BATCH = 512
 _TILE_BYTES = 256 * 1024
 # Scratch per thread of _correlate_valid for the products that several
@@ -269,9 +269,9 @@ def assemble_dense(op):
     """
     n1, n2 = op.shape
     total = n1 * n2
-    if total > _DENSE_LIMIT:
+    if total > _MAX_DENSE_PIXELS:
         raise SizeGuardError(
-            f"dense operator limited to {_DENSE_LIMIT} pixels, got {total}"
+            f"dense operator limited to {_MAX_DENSE_PIXELS} pixels, got {total}"
         )
     matrix = np.empty((total, total))
     for start in range(0, total, _ASSEMBLE_BATCH):

@@ -26,9 +26,9 @@ import numpy as np
 from .errors import InvalidParameterError, SizeGuardError, UnsupportedAlgebraError, _check_int
 from .imageio import _write_csv
 from .operators import (
-    _DENSE_LIMIT, BoundaryCondition, apply_blur, _check_shape, _check_support, _support_reach
+    _MAX_DENSE_PIXELS, BoundaryCondition, apply_blur, _check_shape, _check_support, _support_reach
 )
-from .psf import generating_function, generating_function_1d, require_strong_symmetry
+from .psf import generating_function, generating_function_1d
 from .transforms import TransformKind, ramp_gram, two_level_apply
 
 
@@ -101,12 +101,13 @@ def eigen_grid_ar(mask, shape):
 
     The node vector per axis is [0, sine nodes of size m-2, 0]; the
     duplicated zero nodes produce the four exact unit eigenvalues at the
-    corners and pair each edge with the condensed 1-D mask spectrum.
+    corners and pair each edge with the condensed 1-D mask spectrum. A
+    mask that is not strongly symmetric raises AsymmetricMaskError from
+    generating_function, after the shape and support checks.
     """
     n1, n2 = _check_shape(shape)
     if n1 < 3 or n2 < 3:
         raise InvalidParameterError("anti-reflective grid needs n >= 3 per axis")
-    require_strong_symmetry(mask)
     reach = _support_reach(mask.weights)
     _check_support(reach, (n1, n2), BoundaryCondition.ANTIREFLECTIVE, spectral=True)
     values = generating_function(mask, *(np.pad(_sine_nodes(n - 2), 1) for n in (n1, n2)))
@@ -163,9 +164,9 @@ def eigen_from_first_column(op):
         raise UnsupportedAlgebraError(
             "first-column eigenvalue recovery requires the reflective rule"
         )
-    if op.size > _DENSE_LIMIT:
+    if op.size > _MAX_DENSE_PIXELS:
         raise SizeGuardError(
-            f"first-column recovery limited to {_DENSE_LIMIT} pixels"
+            f"first-column recovery limited to {_MAX_DENSE_PIXELS} pixels"
         )
     basis = np.zeros(op.shape)
     basis[0, 0] = 1.0

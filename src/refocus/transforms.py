@@ -74,7 +74,12 @@ from scipy.fft import dct, dst, fft, get_workers, ifft, next_fast_len
 from .errors import InvalidParameterError, SizeGuardError, SizeMismatchError, _check_int
 
 # Above this length the type-I sine transform switches to the Bluestein
-# path; below it the direct library call is faster.
+# path. Below it the direct library call is faster, except at lengths m
+# whose library length 2(m+1) has a large prime factor: on a 2-core Xeon
+# VM the Bluestein path took 0.69-0.95x the direct time for 78-, 126-,
+# 198-, 253- and 382-long lines (2(m+1) = 2*79, 2*127, 2*199, 4*127,
+# 2*383) and 1.24-2.6x for the other sizes measured (README,
+# "Performance notes").
 _SINE_DIRECT_LIMIT = 512
 # Passes (transforms, blurs, noise fields) of at least this many values
 # run on threads; every pass of the experiment workloads (sides up to
@@ -86,7 +91,7 @@ _THREAD_VALUES = 2**18
 # 2 MiB at m = 1024 and 4 MiB at m = 2046, larger than most caches; it
 # bounds working memory and allocator traffic, not cache residency.
 _ROW_BLOCK = 64
-_DENSE_LIMIT = 4096
+_MAX_DENSE_SIDE = 4096
 
 
 class TransformKind(Enum):
@@ -467,8 +472,8 @@ def dense_transform(kind, m):
     a length-m axis.
     """
     m = _check_int(m, "transform size", 1)
-    if m > _DENSE_LIMIT:
+    if m > _MAX_DENSE_SIDE:
         raise SizeGuardError(
-            f"dense transform limited to m <= {_DENSE_LIMIT}, got {m}"
+            f"dense transform limited to m <= {_MAX_DENSE_SIDE}, got {m}"
         )
     return _transform(np.eye(m), kind, axis=0)

@@ -113,17 +113,24 @@ def _plan_of(lam):
 def test_count_mask_matches_sort_reference():
     # zero values, ties and both signs; rank < k alone would keep the zeros.
     # The rounded grid is tie-heavy: most kept sets end inside a run of ties.
+    # A threshold keeps the first indices of its census (the count of
+    # magnitudes >= delta), on both sides of ZERO_SPECTRUM_TOL.
     mask = r.PsfMask(np.array([[0.5], [0.0], [0.5]]))
     grids = [r.eigen_grid_for(r.BlurOperator(mask, BC.REFLECTIVE, (6, 6))).values,
              np.array([[0.5, -0.5, 0.0], [1e-15, 0.25, -0.5]]),
              np.round(r.standard_normal_field(3, (9, 11)), 1)]
     for lam in grids:
-        for k in range(lam.size + 1):
+        specs = [(r.TruncateByCount(k), k) for k in range(lam.size + 1)]
+        for delta in (1e-18, 0.25):
+            census = int(np.count_nonzero(np.abs(lam) >= delta))
+            specs.append((r.TruncateByThreshold(delta), census))
+        for spec, k in specs:
             plan = _plan_of(lam)
-            keep, skipped = filtering._keep_mask(plan, r.TruncateByCount(k))
+            keep, kept, skipped = filtering._keep_mask(plan, spec)
             ref_keep, ref_skipped = _keep_mask_by_sort(lam, k)
             assert np.array_equal(keep, ref_keep) and skipped == ref_skipped
-            assert type(skipped) is int
+            assert kept == keep.sum()
+            assert type(kept) is int and type(skipped) is int
             assert "order" not in vars(plan)  # selected, never sorted
 
 
@@ -451,8 +458,10 @@ def test_non_finite_sweep_reference_rejected(gauss11):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(gauss22, mix_matrix):
     # OpenBLAS gives other last bits on two threads than on one for an SVD
-    # at n = 516, a dot product of more than 10,000 values and the symbol
-    # grid at 520 x 516; each runs pinned to one thread
+    # at n = 516 and the symbol grid at 520 x 516; each runs pinned to one
+    # thread. The reflective tsvd restore at 520 x 516 covers the 1-D
+    # symbol product, which runs unpinned. OpenBLAS takes more threads
+    # than there are cores, so four threads run on any host.
     threads = transforms._blas_threads()
     if threads is None:
         pytest.skip("numpy has no scipy-openblas thread functions here")
@@ -462,24 +471,26 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(gauss22, mix_matrix):
     op = r.BlurOperator(gauss22, BC.ANTIREFLECTIVE, f.shape)
     g = r.cross_channel_blur(np.stack([f, f[::-1], 0.5 * f]), mix_matrix, op)
     large = r.BlurOperator(gauss22, BC.REFLECTIVE, (520, 516))
+    big = r.apply_blur(large, rough_image(large.shape))
 
     def outputs():
         noisy, _snr = r.add_noise(g, r.NoiseSpec(0.01, 3))
         curve = filtering.sweep(noisy[0], op, "tsvd", f, max_terms=50)
         outs = [noisy, r.eigen_grid_for(large).values, curve.rres,
                 filtering.restore(noisy, op, "tsvd", r.TruncateByCount(500), mix_matrix).image,
-                filtering.sweep(noisy[0], op, "tikhonov", f, mu_grid=[1e-3, 1e-1]).rres]
+                filtering.sweep(noisy[0], op, "tikhonov", f, mu_grid=[1e-3, 1e-1]).rres,
+                filtering.restore(big, large, "tsvd", r.TruncateByThreshold(0.05)).image]
         return [a.tobytes() for a in outs]
 
     try:
         runs = []
-        for count in (1, 2):
+        for count in (1, 2, 4):
             set_(count)
             runs.append(outputs())
             assert get() == count
     finally:
         set_(outer)
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_bytes_without_a_blas_pin_do_not_depend_on_the_blas_thread_count(

@@ -98,6 +98,12 @@ def test_antireflective_support_condition(gauss22):
     with pytest.raises(r.SupportConditionError):
         r.eigen_grid_ar(gauss22, (4, 8))
     r.eigen_grid_ar(gauss22, (5, 8))
+    # symmetry is checked by generating_function, after the support
+    lopsided = r.PsfMask(np.array([[0.1, 0.2, 0.3, 0.2, 0.2]]))
+    with pytest.raises(r.AsymmetricMaskError):
+        r.eigen_grid_ar(lopsided, (5, 8))
+    with pytest.raises(r.SupportConditionError):
+        r.eigen_grid_ar(lopsided, (5, 4))
 
 
 def test_eigen_from_first_column_matches_grid(gauss22, cross_mask):
