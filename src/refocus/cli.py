@@ -89,6 +89,7 @@ def _cmd_restore(args):
     given = {TruncateByCount: args.count, TruncateByThreshold: args.threshold, Tikhonov: args.mu}
     spec = next(spec_type(value) for spec_type, value in given.items() if value is not None)
     result = restore(image, op, args.method, spec, mixing)
+    del image  # free the input before the writer allocates its raster
     write_by_suffix(args.out, result.image, args.maxval)
     print(
         f"wrote {args.out} method={result.method} parameter={result.parameter:g} "

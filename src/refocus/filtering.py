@@ -235,10 +235,11 @@ def _mixer(matrix):
     """The function mixing the channels on the leading axis by a C x C matrix.
 
     The mix is pixelwise. Mixing by the identity returns its argument
-    itself, so no caller may write to the result in place. The matrix is
-    tested once, here: a Tikhonov sweep makes its mixer once and mixes
-    once per mu. The test compares Python lists, which is cheaper than
-    an array comparison for a matrix this small.
+    itself, so a caller may write into the result only when it owns the
+    argument: both _tikhonov callers pass a fresh analysis output. The
+    matrix is tested once, here: a Tikhonov sweep makes its mixer once
+    and mixes once per mu. The test compares Python lists, which is
+    cheaper than an array comparison for a matrix this small.
     """
     if matrix.tolist() == np.eye(len(matrix)).tolist():
         return lambda channels: channels
@@ -266,16 +267,30 @@ def _tikhonov(coef, lam, matrix):
     solution is closed form, fhat = V (lam / (lam^2 d + mu)) V^T M^T ghat,
     so no index needs a C x C solve and one analysis serves a whole mu
     grid.
+
+    coef is the caller's fresh analysis output, which the right-hand side
+    overwrites (see _mixer). damped(mu) divides into a new denominator
+    lam^2 d + mu, once per weight of a sweep. damped(mu, last=True) forms
+    it in the buffer of lam^2 d and frees the right-hand side before the
+    rotation, so a one-weight restore holds one image-sized buffer fewer;
+    no call may follow it. Both give the same bytes.
     """
     d, rotation = np.linalg.eigh(matrix.T @ matrix)
-    # first, so the lam * lam temporary is freed before rhs is allocated
-    lam_sq = np.multiply.outer(d, lam * lam)
-    rhs = lam * _mix(rotation.T @ matrix.T, coef)
+    # lam M^T ghat in the analysis output's buffer: a color mix's new array is freed at once
+    rhs = np.multiply(_mix(rotation.T @ matrix.T, coef), lam, out=coef)
+    # lam^2 d, with lam^2 squared into the first channel: no lam-sized temporary
+    lam_sq = np.empty(rhs.shape)
+    np.multiply(lam, lam, out=lam_sq[0])
+    for c in reversed(range(len(d))):
+        np.multiply(d[c], lam_sq[0], out=lam_sq[c])
     rotate = _mixer(rotation)
 
-    def damped(mu):
-        fhat = lam_sq + mu
+    def damped(mu, last=False):
+        nonlocal rhs
+        fhat = np.add(lam_sq, mu, out=lam_sq if last else None)
         np.divide(rhs, fhat, out=fhat)
+        if last:
+            rhs = None  # the quotient is in lam_sq's buffer
         return rotate(fhat)
 
     return damped
@@ -467,13 +482,14 @@ def _restore(g, plan, method, spec, mixing):
     """restore in a plan already built for method's basis."""
     stack, matrix = _channel_stack(g, plan.op, mixing)
     if method == "tikhonov":
-        fhat = _tikhonov(plan.analysis(stack), plan.lam, matrix)(spec.mu)
+        fhat = _tikhonov(plan.analysis(stack), plan.lam, matrix)(spec.mu, last=True)
         parameter, kept, skipped = spec.mu, plan.lam.size, 0
     else:
         keep, kept, skipped = _keep_mask(plan, spec)
         coef = _mix(_unmixing(matrix), plan.analysis(stack))
         fhat = np.zeros_like(coef)
         np.divide(coef, plan.lam, out=fhat, where=keep)
+        del coef, keep  # freed before the synthesis allocates
         parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
     return RestorationResult(
         image=plan.synthesis(fhat).reshape(np.shape(g)),

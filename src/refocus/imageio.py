@@ -4,7 +4,10 @@ Binary netpbm rasters (PGM type P5 for grayscale, PPM type P6 for
 color) carry quantized pixel data; plain text files carry exact float
 matrices. Pixels map to [0, 1] on read by dividing by the maxval and
 are quantized on write by round half up, so a read/write cycle at the
-same maxval reproduces the file byte for byte.
+same maxval reproduces the file byte for byte. A read divides the
+raster straight into C-contiguous channel planes; a write quantizes
+rows of about _IMAGE_BLOCK samples at a time straight into the
+integer raster it writes, so neither holds an image-sized temporary.
 
 Every text table is read by _read_rows (a .txt matrix, and the body of
 a mask file under its header) and written by _write_table ('%.17g'
@@ -36,6 +39,8 @@ _NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf
                      re.ASCII | re.IGNORECASE)
 # Rows formatted per write by _write_table.
 _CSV_BLOCK = 4096
+# Float samples quantized per block by write_image: 256 KiB of them.
+_IMAGE_BLOCK = 32768
 
 
 def _header_token(data, pos, what):
@@ -71,17 +76,15 @@ def _parse_netpbm(data):
     channels = 3 if magic == b"P6" else 1
     itemsize = 2 if maxval > 255 else 1
     expected = width * height * channels * itemsize
-    raster = data[offset : offset + expected]
-    if len(raster) < expected:
+    if len(data) - offset < expected:
         raise FormatError(
             f"raster truncated, expected {expected} bytes", offset=len(data)
         )
     dtype = ">u2" if itemsize == 2 else np.uint8
-    samples = np.frombuffer(raster, dtype=dtype).astype(float)
-    samples /= maxval
-    if channels == 1:
-        return samples.reshape(height, width)
-    return np.moveaxis(samples.reshape(height, width, 3), 2, 0)
+    samples = np.frombuffer(data, dtype, height * width * channels, offset)
+    planes = np.empty((channels, height, width))
+    np.divide(np.moveaxis(samples.reshape(height, width, channels), 2, 0), maxval, out=planes)
+    return planes[0] if channels == 1 else planes
 
 
 def read_image(path):
@@ -95,7 +98,8 @@ def read_image(path):
     Returns
     -------
     ndarray
-        Shape (n1, n2) for PGM, (3, n1, n2) for PPM.
+        Shape (n1, n2) for PGM, (3, n1, n2) for PPM; C-contiguous, so
+        each channel plane is contiguous.
     """
     with open(path, "rb") as fh:
         return _parse_netpbm(fh.read())
@@ -109,28 +113,23 @@ def _check_maxval(maxval):
     return maxval
 
 
-def _quantize(image, maxval):
-    """floor(clip(image, 0, 1) * maxval + 0.5), computed in one new buffer."""
-    out = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
-    out *= maxval
-    out += 0.5
-    return np.floor(out, out=out)
-
-
 def write_image(path, image, maxval=255):
     """Write an image as binary PGM (2-D input) or PPM (3, n1, n2 input).
 
-    Values are clipped to [0, 1] and quantized by round half up. maxval
-    is the integer 255 or 65535; 65535 writes big-endian 16-bit samples.
-    A bad maxval or non-finite samples are rejected before the file is
-    opened.
+    Values are clipped to [0, 1] and quantized by round half up,
+    floor(clip(x, 0, 1) * maxval + 0.5). maxval is the integer 255 or
+    65535; 65535 writes big-endian 16-bit samples. Rows of about
+    _IMAGE_BLOCK samples are checked and quantized at a time, straight
+    into the integer raster that is written, so no image-sized float
+    temporary or byte copy is made. A bad maxval or shape, or non-finite
+    samples, are rejected before the file is opened.
     """
     maxval = _check_maxval(maxval)
-    image = _check_finite(np.asarray(image, dtype=float), "image")
+    image = np.asarray(image, dtype=float)
     if image.ndim == 2:
-        magic, samples = b"P5", _quantize(image, maxval)
+        magic = b"P5"
     elif image.ndim == 3 and image.shape[0] == 3:
-        magic, samples = b"P6", np.moveaxis(_quantize(image, maxval), 0, 2)
+        magic = b"P6"
     else:
         raise InvalidParameterError(
             f"image must be (n1, n2) or (3, n1, n2), got {image.shape}"
@@ -138,11 +137,19 @@ def write_image(path, image, maxval=255):
     height, width = image.shape[-2:]
     if height == 0 or width == 0:
         raise InvalidParameterError("image must be non-empty")
-    dtype = ">u2" if maxval > 255 else np.uint8
+    planes = image.reshape((-1, height, width))
+    raster = np.empty((height, width, len(planes)), ">u2" if maxval > 255 else np.uint8)
+    rows = max(1, _IMAGE_BLOCK // (len(planes) * width))
+    for start in range(0, height, rows):
+        block = np.clip(_check_finite(planes[:, start : start + rows], "image"), 0.0, 1.0)
+        block *= maxval
+        block += 0.5
+        for channel, plane in enumerate(np.floor(block, out=block)):
+            raster[start : start + rows, :, channel] = plane
     header = magic + b"\n%d %d\n%d\n" % (width, height, maxval)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(samples.astype(dtype).tobytes())
+        fh.write(raster)
 
 
 def _utf8_text(path, error=FormatError):

@@ -420,6 +420,47 @@ def test_cli_noisy_color_blur_working_set(tmp_path, capsys):
     assert peak <= 4 * image_bytes, f"peak {peak / image_bytes:.2f} image sizes"
 
 
+# Peak bounds, in image sizes, of a restore verb at 384^2 from a 16-bit file: between the
+# largest peak of the verb that frees the analysis output and the input before the write
+# (gray 4.17 / 4.55, color 3.39 / 3.68) and the smallest of one that holds them (gray
+# 5.04 / 5.05, color 4.39 / 4.67), reflective / anti-reflective, measured on two CPUs.
+_RESTORE_PEAKS = {(False, "reflective"): 4.6, (False, "antireflective"): 4.8,
+                  (True, "reflective"): 3.9, (True, "antireflective"): 4.2}
+
+
+@pytest.mark.parametrize("setting", [["--method", "tsd", "--count", "5000"],
+                                     ["--method", "tsd", "--threshold", "0.05"],
+                                     ["--method", "tikhonov", "--mu", "1e-3"]],
+                         ids=["tsd-count", "tsd-threshold", "tikhonov"])
+@pytest.mark.parametrize("bc", ["reflective", "antireflective"])
+@pytest.mark.parametrize("color", [False, True], ids=["gray", "color"])
+def test_cli_restore_working_set(tmp_path, capsys, monkeypatch, color, bc, setting):
+    # input, spectrum, filtered coefficients and the synthesis output at the peak
+    side = 384
+    # the transforms' line buffers are per thread: two, as on the host of the bounds
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    if color:
+        src, scene = tmp_path / "scene.ppm", r.low_frequency_scene_color((side, side))
+    else:
+        src, scene = tmp_path / "scene.pgm", r.low_frequency_scene((side, side))
+    r.write_image(src, scene, 65535)
+    argv = ["restore", "--image", str(src), "--psf", "gaussian:3:1.5", "--bc", bc,
+            "--maxval", "65535", "--out", str(tmp_path / f"out{src.suffix}")] + setting
+    if color:
+        argv += ["--mix", "0.7,0.2,0.1,0.15,0.7,0.15,0.1,0.2,0.7"]
+    assert main(argv) == 0  # warm-up: first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    image_bytes = scene.size * 8
+    bound = _RESTORE_PEAKS[color, bc]
+    assert peak <= bound * image_bytes, f"peak {peak / image_bytes:.2f} image sizes"
+
+
 def test_cli_blur_scans_its_input_for_nan_once(tmp_path, capsys, monkeypatch):
     common = ["--psf", "disk:1:1.0", "--bc", "reflective", "--rho", "0.01"]
     bad, out = tmp_path / "bad.txt", tmp_path / "bad_out.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import refocus as r
+from refocus.imageio import _IMAGE_BLOCK
 
 from conftest import smooth_image
 
@@ -23,6 +24,7 @@ def test_color_round_trip_16bit(tmp_path):
     r.write_image(path, img, maxval=65535)
     back = r.read_image(path)
     assert back.shape == (3, 5, 6)
+    assert back.flags.c_contiguous  # each channel plane is contiguous
     assert np.abs(back - img).max() <= 0.5 / 65535 + 1e-12
 
 
@@ -66,6 +68,30 @@ def test_quantization_rounds_half_up(tmp_path):
     r.write_image(path, img)
     raw = path.read_bytes()
     assert raw[-2:] == bytes([1, 0])
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+@pytest.mark.parametrize("channels", [1, 3], ids=["gray", "color"])
+def test_write_image_bytes_match_the_rounding_formula(tmp_path, channels, maxval):
+    # rows span several write blocks, the last one short
+    width = 4096
+    rows = _IMAGE_BLOCK // (channels * width)
+    height = 2 * rows + 1 if rows > 1 else 3
+    rng = np.random.default_rng(7)
+    img = rng.uniform(-0.25, 1.25, (channels, height, width))
+    steps = rng.integers(0, maxval, img.size)
+    img.flat[::3] = (steps[::3] + 0.5) / maxval  # half steps
+    img = img[0] if channels == 1 else img
+    path = tmp_path / ("img.pgm" if channels == 1 else "img.ppm")
+    r.write_image(path, img, maxval)
+    quantized = np.floor(np.clip(img, 0.0, 1.0) * maxval + 0.5)
+    samples = quantized if channels == 1 else np.moveaxis(quantized, 0, -1)
+    raster = samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+    magic = b"P5" if channels == 1 else b"P6"
+    assert path.read_bytes() == magic + b"\n%d %d\n%d\n" % (width, height, maxval) + raster
+    back = r.read_image(path)
+    assert back.shape == img.shape and back.flags.c_contiguous
+    assert np.array_equal(back, quantized / maxval)
 
 
 def test_header_comments_and_whitespace(tmp_path):

@@ -25,7 +25,10 @@ refocus.cli.main in a temporary directory:
   checks that threads leave the bytes unchanged;
 * noisy disk blurs of that gray image under all four rules, and a noisy
   color blur of a 3 x 520 x 516 image: each blur and noise field is
-  above the size from which they run on threads;
+  above the size from which they run on threads. That color blur is
+  restored by Tikhonov with --mix under both spectral rules, the
+  one-weight color path that damps in place, at a size whose
+  transforms run on threads;
 * a gray 40 x 40 image and a 3 x 40 x 40 color one (with --mix),
   blurred under the reflective rule by disk:2:3, a 5 x 5 box: a
   separable mask whose symbol has negative lobes, so its cosine tsvd
@@ -145,6 +148,10 @@ def _requests(inputs):
     requests.append(["blur", "--image", "large_color.ppm", "--out", "blur_large_color.ppm",
                      "--psf", PSF, "--bc", "reflective", "--mix", MIX, "--rho", "0.01",
                      "--seed", "6", "--maxval", "65535"])
+    for bc in SPECTRAL:
+        requests.append(["restore", "--image", "blur_large_color.ppm", "--out",
+                         f"restore_large_color_{bc}.ppm", "--method", "tikhonov", "--maxval",
+                         "65535", "--psf", PSF, "--bc", bc, "--mix", MIX] + FILTERS["tikhonov"])
     boxes = (("box", "box.txt", []), ("box_color", "box_color.ppm", ["--mix", MIX]))
     for name, path, mix in boxes:
         suffix = Path(path).suffix
