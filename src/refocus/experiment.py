@@ -10,8 +10,8 @@ bytes.
 
 This module parses configs, builds the data and writes the files; the
 filter core decides everything about the methods. Its _run_plans
-builds the plans of a run, and _sweep_restore sweeps each case and
-restores it at the optimum.
+builds the plans of a run, and _sweep sweeps each case and hands back
+a restore of the curve's optimum from the sweep's own filter state.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .filtering import (
     _check_max_terms,
     _mix,
     _run_plans,
-    _sweep_restore,
+    _sweep,
     format_optimum,
     log_mu_grid,
     save_curve_csv,
@@ -354,7 +354,7 @@ def run_experiment(config):
             magnitudes, coefs = _picard_data(noisy, eigen)
             picard = None  # formatted once per (rule, rho), then copied
             for method, plan in by_method.items():
-                curve, restored = _sweep_restore(
+                curve, restore = _sweep(
                     noisy, plan, method, f_true, mixing, config.max_terms, config.mu_grid()
                 )
                 dirname, key = _case_names(bc, method, rho)
@@ -367,7 +367,7 @@ def run_experiment(config):
                 else:
                     shutil.copyfile(picard, subdir / "picard.csv")
                 name = "restored.ppm" if color else "restored.pgm"
-                write_image(subdir / name, restored.image, config.maxval)
+                write_image(subdir / name, restore().image, config.maxval)
                 rows.append(f"{key},{format_optimum(curve)},{curve.best_rre:.6e}\n")
     summary = "bc,method,rho,optimum_param,rre\n" + "".join(rows)
     (out / "summary.csv").write_text(summary, encoding="ascii")

@@ -34,8 +34,10 @@ fact of a rule comes from the rule's basis record (spectrum._BASES).
 It sorts the spectrum only when a filter first needs the order.
 `restore` and `sweep` build a plan per call. A run of many cases
 builds every plan it needs at once, before any work (_run_plans), and
-shares them between its Picard data, sweeps and restores;
-_sweep_restore sweeps one case and restores it at the curve's optimum.
+shares them between its Picard data, sweeps and restores. Both paths
+build the filter state of a fresh analysis in one step (_state) and
+turn it into a result in another (_restored), so a case restores the
+curve's optimum from its sweep's own state, with no second analysis.
 So each method rule (the basis a method filters in, the spec a sweep
 optimum becomes, the methods that must unmix a mix) is written here
 once, and the experiment runner and the CLI only dispatch to this
@@ -80,7 +82,7 @@ reflective Tikhonov sweeps need no pin once their plans are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -236,10 +238,10 @@ def _mixer(matrix):
 
     The mix is pixelwise. Mixing by the identity returns its argument
     itself, so a caller may write into the result only when it owns the
-    argument: both _tikhonov callers pass a fresh analysis output. The
-    matrix is tested once, here: a Tikhonov sweep makes its mixer once
-    and mixes once per mu. The test compares Python lists, which is
-    cheaper than an array comparison for a matrix this small.
+    argument: _tikhonov's one caller, _state, passes a fresh analysis
+    output. The matrix is tested once, here: a Tikhonov sweep makes its
+    mixer once and mixes once per mu. The test compares Python lists,
+    which is cheaper than an array comparison for a matrix this small.
     """
     if matrix.tolist() == np.eye(len(matrix)).tolist():
         return lambda channels: channels
@@ -273,7 +275,8 @@ def _tikhonov(coef, lam, matrix):
     lam^2 d + mu, once per weight of a sweep. damped(mu, last=True) forms
     it in the buffer of lam^2 d and frees the right-hand side before the
     rotation, so a one-weight restore holds one image-sized buffer fewer;
-    no call may follow it. Both give the same bytes.
+    no call may follow it. A restore calls it once, and a sweep's restore
+    of its optimum after the sweep's weights. Both give the same bytes.
     """
     d, rotation = np.linalg.eigh(matrix.T @ matrix)
     # lam M^T ghat in the analysis output's buffer: a color mix's new array is freed at once
@@ -318,13 +321,16 @@ def _largest(magnitudes, k):
 
 
 def _keep_mask(plan, spec):
-    """The indices a truncation spec keeps: (keep, kept, skipped).
+    """The indices a filter spec keeps: (keep, kept, skipped).
 
     keep is the boolean mask of retained indices, kept its number of
     True entries and skipped the number of requested indices that fell
     on zero spectral values (below ZERO_SPECTRUM_TOL); both counts are
-    Python ints.
+    Python ints. A Tikhonov spec damps instead of dropping, so it keeps
+    every index: keep is None, kept the spectrum size and skipped 0.
     """
+    if isinstance(spec, Tikhonov):
+        return None, plan.lam.size, 0
     magnitudes = np.abs(plan.lam)
     if isinstance(spec, TruncateByThreshold):
         keep = _usable(magnitudes, spec.delta)
@@ -339,7 +345,7 @@ def _keep_mask(plan, spec):
             )
         kept = min(spec.k, int(np.count_nonzero(_usable(magnitudes))))
         return _largest(magnitudes, kept), kept, spec.k - kept
-    raise InvalidParameterError(f"not a truncation spec: {spec!r}")
+    raise InvalidParameterError(f"not a filter spec: {spec!r}")
 
 
 class _Plan:
@@ -475,24 +481,45 @@ def restore(g, op, method, spec, mixing=None):
     """
     if isinstance(spec, Tikhonov) != (method == "tikhonov"):
         raise InvalidParameterError(f"method {method!r} cannot use {spec!r}")
-    return _restore(g, _plan(op, method), method, spec, mixing)
+    plan = _plan(op, method)
+    stack, matrix = _channel_stack(g, op, mixing)
+    return _restored(plan, method, spec, lambda: _state(plan, method, stack, matrix), np.shape(g))
 
 
-def _restore(g, plan, method, spec, mixing):
-    """restore in a plan already built for method's basis."""
-    stack, matrix = _channel_stack(g, plan.op, mixing)
+def _state(plan, method, stack, matrix):
+    """The filter state of a fresh analysis of a channel stack mixed by matrix.
+
+    Tikhonov's is the damped function of _tikhonov, which takes the
+    analysis output as its own; a truncation's is the coefficients
+    unmixed by M^-1. The one place each method's state is written, for
+    restore and for _sweep alike.
+    """
     if method == "tikhonov":
-        fhat = _tikhonov(plan.analysis(stack), plan.lam, matrix)(spec.mu, last=True)
-        parameter, kept, skipped = spec.mu, plan.lam.size, 0
+        return _tikhonov(plan.analysis(stack), plan.lam, matrix)
+    return _mix(_unmixing(matrix), plan.analysis(stack))
+
+
+def _restored(plan, method, spec, state, shape):
+    """The RestorationResult of spec from the filter state that state() gives.
+
+    The keep mask is made before state() is called, so on restore's path
+    the mask's temporaries are gone before the analysis allocates, and
+    both are dropped before the synthesis allocates its output. The
+    state is the caller's to spend: the truncation divide reads it, and
+    Tikhonov's one weight overwrites it (damped(mu, last=True)). shape
+    is the shape of the data, which the image takes.
+    """
+    keep, kept, skipped = _keep_mask(plan, spec)
+    state = state()
+    if keep is None:
+        fhat, parameter = state(spec.mu, last=True), spec.mu
     else:
-        keep, kept, skipped = _keep_mask(plan, spec)
-        coef = _mix(_unmixing(matrix), plan.analysis(stack))
-        fhat = np.zeros_like(coef)
-        np.divide(coef, plan.lam, out=fhat, where=keep)
-        del coef, keep  # freed before the synthesis allocates
+        fhat = np.zeros_like(state)
+        np.divide(state, plan.lam, out=fhat, where=keep)
         parameter = spec.delta if isinstance(spec, TruncateByThreshold) else spec.k
+    del state, keep  # freed before the synthesis allocates
     return RestorationResult(
-        image=plan.synthesis(fhat).reshape(np.shape(g)),
+        image=plan.synthesis(fhat).reshape(shape),
         method=method,
         parameter=float(parameter),
         count_kept=kept,
@@ -692,12 +719,17 @@ def sweep(g, op, method, f_true, mixing=None, max_terms=None, mu_grid=None):
     truncation curve costs one sort and O(N) more work, for any N (no
     dense basis matrix is formed); each mu costs O(N).
     """
-    return _sweep(g, _plan(op, method), method, f_true, mixing, max_terms, mu_grid)
+    return _sweep(g, _plan(op, method), method, f_true, mixing, max_terms, mu_grid)[0]
 
 
 def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
-    """sweep in a plan already built for method's basis."""
-    g, matrix = _channel_stack(g, plan.op, mixing)
+    """sweep in a plan already built for method's basis: (curve, restore).
+
+    restore() restores the curve's optimum from the sweep's own filter
+    state (_restored), so a case pays for one analysis of its data. It
+    hands the state over, so it runs once.
+    """
+    stack, matrix = _channel_stack(g, plan.op, mixing)
     f_true, _ = _channel_stack(f_true, plan.op, mixing, "reference")
     true_norm = np.sqrt(_dot(f_true, f_true))
     if not true_norm > 0:
@@ -705,24 +737,18 @@ def _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid):
     max_terms = _check_max_terms(max_terms)
     if method == "tikhonov":
         mu_grid = _check_mu_grid(mu_grid)
-    coef = plan.analysis(g)
+    state = _state(plan, method, stack, matrix)
     target = plan.coordinates(f_true)
     if method == "tikhonov":
-        damped, params = _tikhonov(coef, plan.lam, matrix), mu_grid
-        err_sq = np.array([_gram_norm_sq(damped(mu) - target, plan.borders) for mu in mu_grid])
+        err_sq = np.array([_gram_norm_sq(state(mu) - target, plan.borders) for mu in mu_grid])
+        params, spec = mu_grid, Tikhonov
     else:
-        err_sq = _truncation_errors(_mix(_unmixing(matrix), coef), plan, target, max_terms)
-        params = np.arange(1, err_sq.size + 1)
-    rres = np.sqrt(np.maximum(err_sq, 0.0)) / true_norm
-    return SweepCurve(params=params, rres=rres, method=method)
-
-
-def _sweep_restore(g, plan, method, f_true, mixing, max_terms, mu_grid):
-    """_sweep, then _restore at the curve's optimum: (curve, RestorationResult)."""
-    curve = _sweep(g, plan, method, f_true, mixing, max_terms, mu_grid)
-    best = curve.best_param
-    spec = Tikhonov(float(best)) if method == "tikhonov" else TruncateByCount(best)
-    return curve, _restore(g, plan, method, spec, mixing)
+        err_sq = _truncation_errors(state, plan, target, max_terms)
+        params, spec = np.arange(1, err_sq.size + 1), TruncateByCount
+    curve = SweepCurve(params, np.sqrt(np.maximum(err_sq, 0.0)) / true_norm, method)
+    optimum = spec(curve.best_param.item())
+    # pop hands the state over: once restore() runs, the partial holds no reference to it
+    return curve, partial(_restored, plan, method, optimum, [state].pop, np.shape(g))
 
 
 def rre_sweep(g, op, f_true, max_terms=None):

@@ -118,10 +118,9 @@ def standard_normal_field(seed, shape):
         np.log(u1, out=trig)
         trig *= -2.0
         np.sqrt(trig, out=radius)
-        np.cos(angle, out=trig)
-        np.multiply(radius, trig, out=pairs[0::2])
-        np.sin(angle, out=trig)
-        np.multiply(radius, trig, out=pairs[1::2])
+        for wave, half_pairs in ((np.cos, pairs[0::2]), (np.sin, pairs[1::2])):
+            wave(angle, out=trig)
+            np.multiply(radius, trig, out=half_pairs)
 
     _claim_blocks(starts, workers, work)
     return out[:size].reshape(shape)

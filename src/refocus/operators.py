@@ -338,6 +338,4 @@ def fov_crop(scene, half_support):
     q1, q2 = (_check_int(q, "half support", 0) for q in half_support)
     if scene.shape[-2] <= 2 * q1 or scene.shape[-1] <= 2 * q2:
         raise SizeMismatchError(f"scene {scene.shape} too small for margins {(q1, q2)}")
-    rows = slice(q1, scene.shape[-2] - q1) if q1 else slice(None)
-    cols = slice(q2, scene.shape[-1] - q2) if q2 else slice(None)
-    return scene[..., rows, cols]
+    return scene[..., q1 : scene.shape[-2] - q1, q2 : scene.shape[-1] - q2]

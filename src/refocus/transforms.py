@@ -213,25 +213,26 @@ def _sine_rows(rows, tmp, scratch):
 def _ar_rows(rows, tmp, scratch, inverse):
     """Ramp-bordered sine transform of each row of a block, in place.
 
-    The ramp corrections go through tmp, a real block at least as large
-    as the row interiors.
+    The inverse subtracts the two ramp corrections from the interior
+    (the first border's, then the last's), sine-transforms the interior
+    and multiplies the two border entries by alpha. The forward
+    transform runs the opposite steps in reverse order: it divides the
+    border entries by alpha, sine-transforms the interior and adds the
+    two ramp corrections, again the first border's, then the last's.
+    The corrections go through tmp, a real block at least as large as
+    the row interiors.
     """
-    rv = ramp_vector(rows.shape[-1])
+    rv, correct = ramp_vector(rows.shape[-1]), np.subtract if inverse else np.add
     interior, tmp = rows[:, 1:-1], tmp[: len(rows), : rv.m - 2]
-    if inverse:
-        np.multiply(rows[:, :1], rv.p, out=tmp)
-        interior -= tmp
-        np.multiply(rows[:, -1:], rv.p[::-1], out=tmp)
-        interior -= tmp
-        _sine_rows(interior, None, scratch)
-        rows[:, ::rv.m - 1] *= rv.alpha
-    else:
+    if not inverse:
         rows[:, ::rv.m - 1] /= rv.alpha
         _sine_rows(interior, None, scratch)
-        np.multiply(rows[:, :1], rv.p, out=tmp)
-        interior += tmp
-        np.multiply(rows[:, -1:], rv.p[::-1], out=tmp)
-        interior += tmp
+    for border, ramp in ((rows[:, :1], rv.p), (rows[:, -1:], rv.p[::-1])):
+        np.multiply(border, ramp, out=tmp)
+        correct(interior, tmp, out=interior)
+    if inverse:
+        _sine_rows(interior, None, scratch)
+        rows[:, ::rv.m - 1] *= rv.alpha
 
 
 # Row kernel of each kind and the number of ramp entries bordering each

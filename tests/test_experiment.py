@@ -287,6 +287,55 @@ def test_run_experiment_color(tmp_path):
     assert len(summary) == 1 + 2 * 3
 
 
+_MIX = "0.8,0.1,0.1,0.1,0.8,0.1,0.1,0.1,0.8"
+
+
+@pytest.mark.parametrize("mix", [None, _MIX], ids=["gray", "color"])
+def test_run_experiment_analyzes_each_case_once(tmp_path, monkeypatch, mix):
+    # per (rho, rule): one analysis for the Picard data, then per method one of
+    # the data and one of the reference; the restore reuses the sweep's state
+    calls = {"spectral_analysis": 0}
+    _count_calls(monkeypatch, calls, "spectral_analysis")
+    overrides = ["scene=sinusoids:20x20", "psf=gaussian:1:0.8", "bc=reflective,antireflective",
+                 "method=tsd,tikhonov", "rho=0.001,0.01", f"out={tmp_path}"]
+    r.run_experiment(r.load_config(None, overrides + ([f"mix={mix}"] if mix else [])))
+    rhos, rules, methods = 2, 2, 2
+    assert calls["spectral_analysis"] == rhos * rules * (1 + 2 * methods) == 20
+
+
+@pytest.mark.parametrize("mix", [None, _MIX], ids=["gray", "color"])
+def test_run_experiment_restored_image_is_the_public_restore_at_the_optimum(tmp_path, mix):
+    out = tmp_path / "run"
+    overrides = ["scene=sinusoids:18x16", "psf=gaussian:1:0.8", "bc=reflective,antireflective",
+                 "method=tsd,tsvd,tikhonov", "rho=0.01", "seed=5", f"out={out}"]
+    config = r.load_config(None, overrides + ([f"mix={mix}"] if mix else []))
+    r.run_experiment(config)
+    # the noisy data, rebuilt through the public API as the runner builds it
+    mask = r.parse_psf_spec(config.psf)
+    scene = (r.low_frequency_scene_color if mix else r.low_frequency_scene)((18, 16))
+    f_true = r.fov_crop(scene, mask.half_support)
+    g = r.blur_oversized_scene(scene, mask)
+    if mix:
+        g = np.tensordot(config.mix.matrix, g, axes=1)
+    noisy, _snr = r.add_noise(g, r.NoiseSpec(0.01, 5))
+    mus = {f"{mu:.6e}": mu for mu in config.mu_grid()}
+    assert len(mus) == config.mu_count
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 3
+    for row in rows:
+        bc, method, _rho, optimum, _rre = row.split(",")
+        op = r.BlurOperator(mask, r.BoundaryCondition(bc), f_true.shape[-2:])
+        # the summary prints a mu to 7 digits: take the grid value it names
+        spec = (r.Tikhonov(mus[optimum]) if method == "tikhonov"
+                else r.TruncateByCount(int(optimum)))
+        name = "restored.ppm" if mix else "restored.pgm"
+        expected = tmp_path / f"{bc}_{method}.{name}"
+        r.write_image(expected, filtering.restore(noisy, op, method, spec, config.mix).image,
+                      config.maxval)
+        restored = out / f"{bc}_{method}_rho0.01" / name
+        assert restored.read_bytes() == expected.read_bytes(), row
+
+
 def test_cli_blur_restore_sweep(tmp_path):
     truth = tmp_path / "truth.txt"
     blurred = tmp_path / "blurred.txt"

@@ -524,7 +524,7 @@ def test_bytes_without_a_blas_pin_do_not_depend_on_the_blas_thread_count(
             noisy, _snr = r.add_noise(g, r.NoiseSpec(0.01, 3))
             outs += [noisy, np.float64(r.rre(noisy, g))]
         for g, plan, method, ref, mix in sweeps:
-            outs.append(filtering._sweep(g, plan, method, ref, mix, None, [1e-4, 1e-2, 1.0]).rres)
+            outs.append(filtering._sweep(g, plan, method, ref, mix, None, [1e-4, 1e-2, 1.0])[0].rres)
         return [a.tobytes() for a in outs]
 
     try:
