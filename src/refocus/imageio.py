@@ -6,8 +6,10 @@ matrices. Pixels map to [0, 1] on read by dividing by the maxval and
 are quantized on write by round half up, so a read/write cycle at the
 same maxval reproduces the file byte for byte. A read divides the
 raster straight into C-contiguous channel planes; a write quantizes
-rows of about _IMAGE_BLOCK samples at a time straight into the
+whole rows of at most _BLOCK_VALUES samples at a time straight into the
 integer raster it writes, so neither holds an image-sized temporary.
+_BLOCK_VALUES is the one working-set budget of the package
+(transforms._BLOCK_VALUES); text tables are written in blocks of it too.
 
 Every text table is read by _read_rows (a .txt matrix, and the body of
 a mask file under its header) and written by _write_table ('%.17g'
@@ -27,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, InvalidParameterError, SizeMismatchError
 from .errors import _check_finite, _check_int
+from .transforms import _BLOCK_VALUES
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _MAXVALS = (255, 65535)
@@ -37,10 +40,6 @@ _TOKEN = re.compile(rb"(?:[%s]+|#[^\n]*\n)*([^%s#]*)" % (_WHITESPACE, _WHITESPAC
 # A number as loadtxt reads it: float() syntax in ASCII, with no '_'.
 _NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
                      re.ASCII | re.IGNORECASE)
-# Rows formatted per write by _write_table.
-_CSV_BLOCK = 4096
-# Float samples quantized per block by write_image: 256 KiB of them.
-_IMAGE_BLOCK = 32768
 
 
 def _header_token(data, pos, what):
@@ -118,11 +117,12 @@ def write_image(path, image, maxval=255):
 
     Values are clipped to [0, 1] and quantized by round half up,
     floor(clip(x, 0, 1) * maxval + 0.5). maxval is the integer 255 or
-    65535; 65535 writes big-endian 16-bit samples. Rows of about
-    _IMAGE_BLOCK samples are checked and quantized at a time, straight
-    into the integer raster that is written, so no image-sized float
-    temporary or byte copy is made. A bad maxval or shape, or non-finite
-    samples, are rejected before the file is opened.
+    65535; 65535 writes big-endian 16-bit samples. Whole rows of at most
+    _BLOCK_VALUES samples (one row if a row is wider) are checked and
+    quantized at a time, straight into the integer raster that is
+    written, so no image-sized float temporary or byte copy is made. A
+    bad maxval or shape, or non-finite samples, are rejected before the
+    file is opened.
     """
     maxval = _check_maxval(maxval)
     image = np.asarray(image, dtype=float)
@@ -139,7 +139,7 @@ def write_image(path, image, maxval=255):
         raise InvalidParameterError("image must be non-empty")
     planes = image.reshape((-1, height, width))
     raster = np.empty((height, width, len(planes)), ">u2" if maxval > 255 else np.uint8)
-    rows = max(1, _IMAGE_BLOCK // (len(planes) * width))
+    rows = max(1, _BLOCK_VALUES // (len(planes) * width))
     for start in range(0, height, rows):
         block = np.clip(_check_finite(planes[:, start : start + rows], "image"), 0.0, 1.0)
         block *= maxval
@@ -225,19 +225,23 @@ def _write_table(path, table, sep, header=None):
     """The one text-table writer: an optional header line, then '%.17g' rows.
 
     Values are joined by sep. NaN or inf raises InvalidParameterError
-    before the file is opened. Each block of _CSV_BLOCK rows is
+    before the file is opened. Each block of whole rows, at most
+    _BLOCK_VALUES values (transforms' one working-set budget), is
     formatted by one '%' of a repeated row template and written at once,
-    so a long table never holds a Python object per value all at the
-    same time. Integer tables format as format(v, '.17g') does, through
-    float, so the text equals that of a per-value format() loop.
+    so a long or wide table never holds a Python object per value all at
+    the same time. A single row wider than the budget is still formatted
+    at once, as a block of its own. Integer tables format as
+    format(v, '.17g') does, through float, so the text equals that of a
+    per-value format() loop.
     """
     _check_finite(table, "table")
     row = sep.join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         if header is not None:
             fh.write(header + "\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start : start + _CSV_BLOCK]
+        rows = max(1, _BLOCK_VALUES // table.shape[1])
+        for start in range(0, len(table), rows):
+            block = table[start : start + rows]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -4,7 +4,9 @@ The noise generator is a counter mode pseudo random source: output
 element i depends only on (seed, i), so fields of any shape are
 reproducible across platforms and immune to numpy RNG version drift.
 A large field is filled in blocks on threads by the one thread rule of
-transforms._thread_count, with the same bytes at any thread count.
+transforms._thread_count, with the same bytes at any thread count;
+its blocks are sized by the one working-set budget,
+transforms._BLOCK_VALUES.
 """
 
 from __future__ import annotations
@@ -20,15 +22,12 @@ from .errors import (
 )
 from .filtering import _channel_dot, _check_data, _dot, _Plan
 from .imageio import _write_csv
-from .transforms import _claim_blocks, _thread_count
+from .transforms import _BLOCK_VALUES, _claim_blocks, _thread_count
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(2**53)
-# Pairs of uniforms per block of standard_normal_field: its two uint64
-# block buffers take 1 MiB per thread, whatever the field size.
-_FIELD_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,9 @@ def standard_normal_field(seed, shape):
     Draws pairs of uniforms from a splitmix-style counter stream and
     maps them through the Box-Muller transform, so the field depends
     only on the seed and the element count. The pairs are made in
-    blocks of _FIELD_BLOCK, each from its own offset into the stream, so
-    value i is the same function of (seed, i) as in one whole-field pass.
+    blocks of _BLOCK_VALUES pairs (transforms' one working-set budget),
+    each from its own offset into the stream, so value i is the same
+    function of (seed, i) as in one whole-field pass.
 
     The blocks run on the threads transforms._thread_count grants the
     field (see transforms._claim_blocks), each taking whole blocks. The
@@ -90,7 +90,7 @@ def standard_normal_field(seed, shape):
     size = math.prod(shape)
     out = np.empty(size + size % 2)  # whole pairs
     base = operator.index(seed) & 0xFFFFFFFFFFFFFFFF
-    block = 2 * _FIELD_BLOCK
+    block = 2 * _BLOCK_VALUES
     starts = range(0, out.size, block)
     workers = _thread_count(len(starts), size)
     # counter j of the block at start is start + j, so base + (start + j) *

@@ -14,7 +14,8 @@ The correlation multiplies once per tile for each mask weight that
 several taps share, and a large blur runs its tiles on threads by the
 one thread rule of transforms._thread_count; the output bytes are the
 same as a sum of whole shifted slices at any thread count (see
-_correlate_valid).
+_correlate_valid). Its tiles are sized by the one working-set budget,
+transforms._BLOCK_VALUES.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from .errors import (
     SizeGuardError, SizeMismatchError, SupportConditionError, _check_finite, _check_int
 )
 from .psf import PsfMask, _check_mask_1d, require_strong_symmetry
-from .transforms import _claim_blocks, _thread_count
+from .transforms import _BLOCK_VALUES, _claim_blocks, _thread_count
 
 _MAX_DENSE_PIXELS = 20000
+# Unit images blurred per call of assemble_dense. Not sized from
+# _BLOCK_VALUES: a batch of that many values holds one unit image of
+# 16,385 pixels or more, so assemble_dense would run up to one blur per
+# pixel.
 _ASSEMBLE_BATCH = 512
-_TILE_BYTES = 256 * 1024
-# Scratch per thread of _correlate_valid for the products that several
-# taps of one weight share, beyond its tile and its one-tap product.
-_SHARE_BYTES = 2 * _TILE_BYTES
 
 
 class BoundaryCondition(Enum):
@@ -156,7 +157,8 @@ def _support_reach(weights):
 def _correlate_valid(extended, weights, out_shape):
     """Sum of shifted slices: correlation keeping only full overlaps.
 
-    The output is built in tiles of about _TILE_BYTES, so the shifted
+    The output is built in tiles of about _BLOCK_VALUES float64 values
+    (transforms' one working-set budget, 256 KiB), so the shifted
     slices and their products stay in cache instead of streaming
     image-sized temporaries through memory. A tile holds as many whole
     extended images as fit, or else a strip of rows of one image. It
@@ -170,10 +172,11 @@ def _correlate_valid(extended, weights, out_shape):
     the run that covers all of its taps; each of those taps then adds a
     slice of that product, which holds the same rounded values as its
     own multiply would. The weights with the most taps are shared first,
-    as long as their products fit in _SHARE_BYTES; the other taps
-    multiply into a scratch tile one at a time. A disk mask has one
-    weight, so its 69-tap 11x11 mask costs one multiply and 69 adds per
-    tile instead of 69 of each.
+    as long as their products fit in 2 * _BLOCK_VALUES values of
+    scratch per thread, beyond the tile and its one-tap product; the
+    other taps multiply into a scratch tile one at a time. A disk mask
+    has one weight, so its 69-tap 11x11 mask costs one multiply and 69
+    adds per tile instead of 69 of each.
 
     The tiles run on the threads transforms._thread_count grants the
     output (see transforms._claim_blocks): each takes whole tiles, with
@@ -185,11 +188,11 @@ def _correlate_valid(extended, weights, out_shape):
     flat = extended.reshape(-1)
     count = flat.size // (e1 * e2)
     out = np.empty((count, n1, n2))
-    if 8 * e1 * e2 <= _TILE_BYTES:
-        images, strip = _TILE_BYTES // (8 * e1 * e2), n1
+    if e1 * e2 <= _BLOCK_VALUES:
+        images, strip = _BLOCK_VALUES // (e1 * e2), n1
         pitch = e1 * e2
     else:
-        images, strip = 1, min(n1, max(1, _TILE_BYTES // (8 * e2)))
+        images, strip = 1, min(n1, max(1, _BLOCK_VALUES // e2))
         pitch = strip * e2
     size = min(images, count) * pitch  # the longest run a tile accumulates
     rows, cols = np.nonzero(weights)
@@ -201,7 +204,7 @@ def _correlate_valid(extended, weights, out_shape):
     products, offsets, end = [], {}, size
     for value, group in sorted(groups.items(), key=lambda item: -len(item[1])):
         reach = group[-1] - group[0]
-        if len(group) > 1 and 8 * (end + reach) <= _SHARE_BYTES:
+        if len(group) > 1 and end + reach <= 2 * _BLOCK_VALUES:
             products.append((value, group[0], reach, end))
             offsets[value] = end - group[0]
             end += reach + size

@@ -22,6 +22,11 @@ allocates its result and one block's buffers per thread, never an
 image-sized copy, and a two-level transform runs its second pass in
 place on the first pass's result.
 
+Blocks. One budget, _BLOCK_VALUES (2^15 values), sizes every other loop
+that bounds its working memory: the blur tiles, the noise-field blocks
+and the raster and text-table write blocks. The driver's blocks stay
+64 lines each (_ROW_BLOCK), since their count decides the threads.
+
 Threads. One rule decides how many threads a pass runs on, for the
 transforms, the blur and the noise field alike (_thread_count): a pass
 of fewer than _THREAD_VALUES (2^18) values stays on one thread, and a
@@ -83,13 +88,27 @@ from .errors import InvalidParameterError, SizeGuardError, SizeMismatchError, _c
 _SINE_DIRECT_LIMIT = 512
 # Passes (transforms, blurs, noise fields) of at least this many values
 # run on threads; every pass of the experiment workloads (sides up to
-# 256, three channels up to 128) stays below it.
+# 256, three channels up to 128) stays below it. A measured cost cutoff,
+# not a memory size, so it is not derived from _BLOCK_VALUES.
 _THREAD_VALUES = 2**18
+# The one working-set budget: every memory-bounded loop outside the
+# transform driver sizes its blocks from it. A blur tile holds this many
+# float64 values (256 KiB) and its shared products at most twice that
+# (operators._correlate_valid), a noise block this many pairs of
+# uniforms (metrics.standard_normal_field), and a raster or text-table
+# block at most this many samples or values in whole rows
+# (imageio.write_image, imageio._write_table).
+_BLOCK_VALUES = 2**15
 # Lines per block of the sine-family driver. A call allocates one block's
 # buffers once and reuses them: two real (64, m) arrays and, above the
 # direct limit, a complex (64, nfft) Bluestein scratch. That scratch is
 # 2 MiB at m = 1024 and 4 MiB at m = 2046, larger than most caches; it
 # bounds working memory and allocator traffic, not cache residency.
+# Counted in lines, not sized from _BLOCK_VALUES: the block count feeds
+# _thread_count, so budget-sized blocks change thread counts (a 127 x
+# 2100 pass goes from 2 blocks to 9, and from one thread to 3), and
+# blocks of twice the budget lift a gray anti-reflective 384^2 restore
+# from 4.55 to 5.10 image sizes at its tracemalloc peak.
 _ROW_BLOCK = 64
 _MAX_DENSE_SIDE = 4096
 

@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import refocus as r
-from refocus.imageio import _IMAGE_BLOCK
+from refocus.transforms import _BLOCK_VALUES
 
 from conftest import smooth_image
 
@@ -75,7 +76,7 @@ def test_quantization_rounds_half_up(tmp_path):
 def test_write_image_bytes_match_the_rounding_formula(tmp_path, channels, maxval):
     # rows span several write blocks, the last one short
     width = 4096
-    rows = _IMAGE_BLOCK // (channels * width)
+    rows = _BLOCK_VALUES // (channels * width)
     height = 2 * rows + 1 if rows > 1 else 3
     rng = np.random.default_rng(7)
     img = rng.uniform(-0.25, 1.25, (channels, height, width))
@@ -182,6 +183,22 @@ def test_matrix_round_trip(tmp_path):
     path = tmp_path / "mat.txt"
     m = smooth_image((4, 3))
     r.write_matrix(path, m)
+    assert np.array_equal(r.read_matrix(path), m)
+
+
+def test_write_matrix_holds_one_block_not_the_matrix(tmp_path):
+    # 512 columns make blocks of 64 rows: one block's floats, tuple and
+    # text stay below the matrix, where a per-value copy is 7.6 times it
+    m = np.random.default_rng(5).standard_normal((512, 512))
+    path = tmp_path / "mat.txt"
+    r.write_matrix(path, m[:1])  # warm-up: first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        r.write_matrix(path, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m.nbytes
     assert np.array_equal(r.read_matrix(path), m)
 
 

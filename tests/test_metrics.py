@@ -7,9 +7,9 @@ import scipy.fft
 
 import refocus as r
 from refocus import transforms
-from refocus.metrics import _FIELD_BLOCK, _GAMMA, _mix64_in_place
+from refocus.metrics import _GAMMA, _mix64_in_place
 from refocus.operators import BoundaryCondition as BC
-from refocus.transforms import _THREAD_VALUES
+from refocus.transforms import _BLOCK_VALUES, _THREAD_VALUES
 
 from conftest import rough_image
 
@@ -52,7 +52,7 @@ def _one_shot_field(seed, size):
 
 
 @pytest.mark.parametrize("size", [
-    1, 2, 3, 2 * _FIELD_BLOCK - 1, 2 * _FIELD_BLOCK, 2 * _FIELD_BLOCK + 1,
+    1, 2, 3, 2 * _BLOCK_VALUES - 1, 2 * _BLOCK_VALUES, 2 * _BLOCK_VALUES + 1,
 ])
 def test_blocked_field_matches_one_shot_formula(size):
     for seed in (0, 11, -5):
@@ -61,12 +61,12 @@ def test_blocked_field_matches_one_shot_formula(size):
 
 
 def test_blocked_field_is_a_function_of_seed_and_index():
-    shape = (3, 97, 2 * _FIELD_BLOCK // 97 + 5)  # several blocks, a partial one last
+    shape = (3, 97, 2 * _BLOCK_VALUES // 97 + 5)  # several blocks, a partial one last
     field = r.standard_normal_field(8, shape)
     assert field.shape == shape
     assert field.tobytes() == _one_shot_field(8, math.prod(shape)).tobytes()
     # a longer field extends a shorter one across block boundaries
-    short = r.standard_normal_field(8, 2 * _FIELD_BLOCK + 3)
+    short = r.standard_normal_field(8, 2 * _BLOCK_VALUES + 3)
     assert field.ravel()[: short.size].tobytes() == short.tobytes()
 
 
@@ -223,7 +223,7 @@ def _field_at(workers, seed, shape):
         return r.standard_normal_field(seed, shape)
 
 
-_BLOCK = 2 * _FIELD_BLOCK  # values per block
+_BLOCK = 2 * _BLOCK_VALUES  # values per block
 
 
 # from one value below the thread cutoff (four blocks) up, around whole

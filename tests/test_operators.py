@@ -10,9 +10,9 @@ import scipy.signal
 import refocus as r
 from refocus import transforms
 from refocus.filtering import log_mu_grid, restore, sweep
-from refocus.operators import _SHARE_BYTES, _TILE_BYTES, _correlate_valid
+from refocus.operators import _correlate_valid
 from refocus.operators import BoundaryCondition as BC
-from refocus.transforms import _THREAD_VALUES
+from refocus.transforms import _BLOCK_VALUES, _THREAD_VALUES
 
 from conftest import rough_image, smooth_image
 
@@ -347,7 +347,7 @@ def _same_bits(a, b):
 # gaussian_mask((2, 1), ...) pads rows by 2 on each side and columns by
 # 1, so n2 = 254 makes extended rows of 256 floats: a tile then holds
 # whole images up to n1 = _TILE_ROWS - 4 and strips of _TILE_ROWS rows.
-_TILE_ROWS = _TILE_BYTES // (8 * 256)
+_TILE_ROWS = _BLOCK_VALUES // 256
 
 
 @pytest.mark.parametrize(
@@ -479,7 +479,7 @@ def test_pin_masks_cover_shared_and_lone_taps():
     # every shared product spans at least a tile, so the gaussian's 35
     # weights need more scratch than the shares may take
     gauss = _PIN_MASKS["gauss15"]
-    assert np.unique(gauss).size * _TILE_BYTES > _SHARE_BYTES
+    assert np.unique(gauss).size * _BLOCK_VALUES > 2 * _BLOCK_VALUES
     assert np.unique(_PIN_MASKS["disk"][_PIN_MASKS["disk"] != 0]).size == 1
     assert (np.unique(gauss, return_counts=True)[1] == 1).any()
     assert np.count_nonzero(_PIN_MASKS["sparse"]) == 3

@@ -230,7 +230,7 @@ def _rows_per_value(*columns):
 def test_write_csv_matches_per_row_format(tmp_path, monkeypatch):
     ints = np.array([1, 2, 40000, 2**53 + 1, -7, 0, 3])
     floats = np.array([-0.0, 5e-324, 1e300, -1e300, 0.1, np.pi, -2.5e-308])
-    monkeypatch.setattr(imageio, "_CSV_BLOCK", 3)  # several blocks, one partial
+    monkeypatch.setattr(imageio, "_BLOCK_VALUES", 6)  # several blocks, one partial
     path = tmp_path / "rows.csv"
     for columns in ((ints, floats), (floats, ints), (floats,), (ints[:0], floats[:0])):
         imageio._write_csv(path, "h", *columns)
